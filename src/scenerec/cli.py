@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import zipfile
 from pathlib import Path
 
 from scenerec import catalog as cat
@@ -270,8 +271,14 @@ def main(argv: list[str] | None = None) -> int:
     defaults = None
     config_path = _peek_config(argv)
     if config_path:
-        with open(resolve_path(config_path), "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
+        try:
+            with open(resolve_path(config_path), "r", encoding="utf-8") as fh:
+                defaults = json.load(fh)
+            if not isinstance(defaults, dict):
+                raise ValueError("expected a JSON object of flag defaults")
+        except (OSError, ValueError) as exc:
+            print(f"error: --config {config_path}: {exc}", file=sys.stderr)
+            return 1
     parser = build_parser(defaults)
     args = parser.parse_args(argv)
     missing = [f"--{name}" for name in args.required_fields if getattr(args, name) is None]
@@ -279,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"the following arguments are required: {', '.join(missing)}")
     try:
         return args.func(args)
-    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError) as exc:
+    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError, zipfile.BadZipFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

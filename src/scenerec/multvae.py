@@ -17,7 +17,6 @@ mean, so the same user vector always produces the same scores.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from scenerec.catalog import Catalog, SimilarityGraph, UserVector
-from scenerec.persist import check_index_hash, config_to_json, scalar_str
+from scenerec.persist import check_index_hash, config_to_json, load_config, scalar_str
 
 EARLY_STOP_PATIENCE = 10
 EARLY_STOP_MIN_DELTA = 1e-6
@@ -191,12 +190,29 @@ def adam_step(
     beta2: float,
     eps: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam update; t counts updates starting at 1."""
-    m_new = beta1 * m + (1.0 - beta1) * grad
-    v_new = beta2 * v + (1.0 - beta2) * np.square(grad)
-    m_hat = m_new / (1.0 - beta1**t)
-    v_hat = v_new / (1.0 - beta2**t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m_new, v_new
+    """One bias-corrected Adam update, applied in place to ``param``, ``m``
+    and ``v``, which are returned; t counts updates starting at 1.
+
+    Both bias corrections fold into one scalar step size and one scaled eps:
+    lr * m_hat / (sqrt(v_hat) + eps) equals step * m / (sqrt(v) + eps_hat)
+    with step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+    eps_hat = eps * sqrt(1 - beta2^t). ``grad`` serves as the scratch buffer,
+    so it is overwritten."""
+    correction2 = np.sqrt(1.0 - beta2**t)
+    step = lr * correction2 / (1.0 - beta1**t)
+    m *= beta1
+    v *= beta2
+    grad *= 1.0 - beta1
+    m += grad
+    np.square(grad, out=grad)
+    grad *= (1.0 - beta2) / (1.0 - beta1) ** 2
+    v += grad
+    np.sqrt(v, out=grad)
+    grad += eps * correction2
+    np.divide(m, grad, out=grad)
+    grad *= step
+    param -= grad
+    return param, m, v
 
 
 def rows_to_dense(graph: SimilarityGraph, indices: Sequence[int]) -> np.ndarray:
@@ -263,7 +279,7 @@ def train_multvae(
                 raise TrainingDiverged(epoch)
             updates += 1
             for name, param in model.params().items():
-                new_p, adam_m[name], adam_v[name] = adam_step(
+                adam_step(
                     param,
                     grads[name],
                     adam_m[name],
@@ -274,7 +290,6 @@ def train_multvae(
                     config.adam_beta2,
                     config.adam_eps,
                 )
-                param[...] = new_p
             epoch_loss += loss * len(chunk)
         train_losses.append(epoch_loss / len(train_rows))
         if val_rows is not None:
@@ -331,8 +346,8 @@ def save_vae_model(model: VaeModel, path: str | Path) -> None:
 
 def load_vae_model(path: str | Path, expected_index_hash: str | None = None) -> VaeModel:
     with np.load(path) as data:
+        config = load_config(data, path, "multvae", VaeConfig, PARAM_NAMES)
         stored_hash = scalar_str(data["index_hash"])
         check_index_hash(stored_hash, expected_index_hash, path)
-        config = VaeConfig(**json.loads(scalar_str(data["config_json"])))
         arrays = {name: data[name] for name in PARAM_NAMES}
         return VaeModel(config=config, index_hash=stored_hash, **arrays)

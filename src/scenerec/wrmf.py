@@ -8,26 +8,42 @@ objective is
 
 Each half-sweep solves the exact ridge-regression closed form for every row
 of one factor while the other is held fixed, so the objective can never
-increase. Per-row systems use the standard acceleration: Y^T Y is computed
-once per half-sweep and only observed entries contribute corrections, which
-keeps a sweep linear in the number of edges.
+increase. Row i with observed columns ``obs`` (r of them) solves
+
+    (G + alpha M^T M) x = (1 + alpha) M^T 1,   G = Y^T Y + lam I,  M = Y[obs]
+
+G is formed once per half-sweep. Because r is usually far below k, the
+half-sweep also forms W = Y G^-1 once and applies the Woodbury identity,
+which turns each k x k system into an r x r one:
+
+    x = (1 + alpha) W[obs]^T (I + alpha K)^-1 1,   K = W[obs] M^T
+
+(the alpha-scaled form, so alpha = 0 needs no special case). Rows of equal
+degree are stacked into blocks whose temporaries stay under ``BLOCK_BYTES``
+and each block is one batched solve. Rows with no observations get exact
+zeros. The direct k x k solve (``solve_row``) still runs for rows with
+r >= k, where it is the smaller system, and for the whole half-sweep when
+lam = 0, where G may be singular. Both paths are exact to rounding.
 
 A user is a sparse indicator vector over artists; ``fold_in_user`` embeds it
-with the same closed form, and candidates are ranked by dot product against
-their column factors.
+with the direct closed form, and candidates are ranked by dot product
+against their column factors.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from scenerec.catalog import Catalog, SimilarityGraph, UserVector
-from scenerec.persist import check_index_hash, config_to_json, scalar_str
+from scenerec.persist import check_index_hash, config_to_json, load_config, scalar_str
+
+# Upper bound on the temporaries of one stacked block of equal-degree rows,
+# in the Woodbury half-sweep and in the objective.
+BLOCK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -77,25 +93,61 @@ def solve_row(obs: np.ndarray, other: np.ndarray, gram_reg: np.ndarray, alpha: f
     return np.linalg.solve(a, b)
 
 
+def _degrees(rows: Sequence[np.ndarray]) -> np.ndarray:
+    return np.fromiter((obs.size for obs in rows), dtype=np.int64, count=len(rows))
+
+
+def _equal_degree_blocks(
+    rows: Sequence[np.ndarray], degrees: np.ndarray, selected: np.ndarray, row_bytes: Callable[[int], int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(block, obs)`` for the ``selected`` rows, grouped by degree r:
+    ``block`` holds row indices, ``obs`` their observed indices as a
+    (len(block), r) array. A block holds at most BLOCK_BYTES // row_bytes(r)
+    rows, so the caller's per-row temporaries stay under BLOCK_BYTES."""
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
+    flat = np.concatenate(rows) if len(rows) else np.empty(0, dtype=np.int64)
+    for r in np.unique(degrees[selected]):
+        group = np.flatnonzero(selected & (degrees == r))
+        step = max(1, BLOCK_BYTES // row_bytes(r))
+        for start in range(0, group.size, step):
+            block = group[start : start + step]
+            yield block, flat[indptr[block, None] + np.arange(r)]
+
+
 def half_sweep(rows: Sequence[np.ndarray], this: np.ndarray, other: np.ndarray, lam: float, alpha: float) -> None:
-    """Update every row of ``this`` in place against fixed ``other``."""
+    """Update every row of ``this`` in place against fixed ``other``: the
+    stacked Woodbury solve for rows with 0 < degree < k when lam > 0, the
+    direct ``solve_row`` for the rest (see the module docstring)."""
     k = other.shape[1]
     gram_reg = other.T @ other + lam * np.eye(k)
-    for i, obs in enumerate(rows):
-        this[i] = solve_row(obs, other, gram_reg, alpha)
+    degrees = _degrees(rows)
+    this[degrees == 0] = 0.0
+    stacked = (degrees > 0) & (degrees < k) & (lam > 0)
+    if stacked.any():
+        w = np.linalg.solve(gram_reg, other.T).T
+        for block, obs in _equal_degree_blocks(rows, degrees, stacked, lambda r: 8 * (2 * r * k + 3 * r * r + k)):
+            r = obs.shape[1]
+            w_obs = w[obs]
+            kmat = np.eye(r) + alpha * (w_obs @ other[obs].transpose(0, 2, 1))
+            u = np.linalg.solve(kmat, np.ones((block.size, r, 1)))
+            this[block] = (1.0 + alpha) * (u.transpose(0, 2, 1) @ w_obs)[:, 0]
+    for i in np.flatnonzero((degrees > 0) & ~stacked):
+        this[i] = solve_row(rows[i], other, gram_reg, alpha)
 
 
 def _objective_value(x: np.ndarray, y: np.ndarray, rows: Sequence[np.ndarray], lam: float, alpha: float) -> float:
-    # sum over all cells of s_ij^2 equals tr((X^T X)(Y^T Y)); observed cells
-    # then swap their s^2 term for (1 + alpha)(1 - s)^2.
-    total_sq = float(np.trace((x.T @ x) @ (y.T @ y)))
+    # sum over all cells of s_ij^2 equals tr((X^T X)(Y^T Y)), which for two
+    # symmetric matrices is the sum of their elementwise product; observed
+    # cells then swap their s^2 term for (1 + alpha)(1 - s)^2.
+    xtx, yty = x.T @ x, y.T @ y
+    total_sq = float(np.sum(xtx * yty))
+    k = x.shape[1]
+    degrees = _degrees(rows)
     observed = 0.0
-    for i, obs in enumerate(rows):
-        if obs.size == 0:
-            continue
-        s = y[obs] @ x[i]
+    for block, obs in _equal_degree_blocks(rows, degrees, degrees > 0, lambda r: 8 * (r * k + 3 * r)):
+        s = (y[obs] @ x[block, :, None])[..., 0]
         observed += float(((1.0 + alpha) * np.square(1.0 - s) - np.square(s)).sum())
-    return total_sq + observed + lam * (float(np.square(x).sum()) + float(np.square(y).sum()))
+    return total_sq + observed + lam * float(np.trace(xtx) + np.trace(yty))
 
 
 def objective(model: FactorModel, graph: SimilarityGraph) -> float:
@@ -171,9 +223,9 @@ def save_factor_model(model: FactorModel, path: str | Path) -> None:
 
 def load_factor_model(path: str | Path, expected_index_hash: str | None = None) -> FactorModel:
     with np.load(path) as data:
+        config = load_config(data, path, "wrmf", WrmfConfig, ("row_factors", "col_factors", "objective_trace"))
         stored_hash = scalar_str(data["index_hash"])
         check_index_hash(stored_hash, expected_index_hash, path)
-        config = WrmfConfig(**json.loads(scalar_str(data["config_json"])))
         return FactorModel(
             row_factors=data["row_factors"],
             col_factors=data["col_factors"],

@@ -188,6 +188,7 @@ def test_dropout_zeroing_rate():
     print(f"[PASS] dropout rate: {rate:.4f} vs 0.2 +/- 0.01 over 1e5 coordinates")
 
 
+@pytest.mark.slow
 def test_popularity_trend_reproduction(catalog5k):
     """Both recommenders degrade as candidate popularity drops: positive
     slope of mean AUC vs bin index, and strong accuracy in the top bins."""

@@ -162,6 +162,31 @@ class TestEvalCommand:
                     "--seed", 1, "--out", tmp_path / "r.csv"])
         assert code == 1
 
+    @pytest.mark.parametrize("kind, other", [("multvae", 0), ("wrmf", 1)])
+    def test_model_file_of_other_kind_fails_in_one_line(self, tmp_path, small_catalog_file, trained_models, kind,
+                                                        other, capsys):
+        code = run(["eval", "--catalog", small_catalog_file, "--model", f"{kind}={trained_models[other]}",
+                    "--trials", 1, "--seed", 1, "--out", tmp_path / "r.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a " + kind in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage", ["missing array", "truncated"])
+    def test_damaged_model_file_fails_in_one_line(self, tmp_path, small_catalog_file, trained_models, damage,
+                                                  capsys):
+        broken = tmp_path / "broken.npz"
+        if damage == "truncated":
+            broken.write_bytes(trained_models[0].read_bytes()[:3000])
+        else:
+            with np.load(trained_models[0]) as data:
+                np.savez(broken, **{name: data[name] for name in data.files if name != "col_factors"})
+        code = run(["eval", "--catalog", small_catalog_file, "--model", f"wrmf={broken}", "--trials", 1,
+                    "--seed", 1, "--out", tmp_path / "r.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert damage == "truncated" or "col_factors" in err
+
 
 class TestReportCommand:
     def test_pretty_prints_rows(self, tmp_path, small_catalog_file, capsys):
@@ -184,6 +209,15 @@ class TestConfigFileAndEnv:
         out2 = tmp_path / "two.jsonl"
         assert run(["synth", "--config", cfg, "--artists", 60, "--out", out2]) == 0
         assert load_catalog(out2).n == 60
+
+    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+    def test_missing_or_malformed_config_file_fails_in_one_line(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "c.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --config") and err.count("\n") == 1
 
     def test_env_var_resolves_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCENEREC_DATA_DIR", str(tmp_path))

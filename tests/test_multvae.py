@@ -139,6 +139,24 @@ class TestAdam:
         assert m[0] == pytest.approx(0.075)
         assert v[0] == pytest.approx(0.00033975)
 
+    def test_in_place_update_matches_textbook_formula(self):
+        rng = np.random.default_rng(8)
+        lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+        param, m, v = rng.standard_normal((6, 5)), np.zeros((6, 5)), np.zeros((6, 5))
+        ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
+        for t in range(1, 51):
+            grad = rng.standard_normal((6, 5))
+            ref_m = beta1 * ref_m + (1.0 - beta1) * grad
+            ref_v = beta2 * ref_v + (1.0 - beta2) * np.square(grad)
+            m_hat = ref_m / (1.0 - beta1**t)
+            v_hat = ref_v / (1.0 - beta2**t)
+            ref_p = ref_p - lr * m_hat / (np.sqrt(v_hat) + eps)
+            out = adam_step(param, grad, m, v, t, lr, beta1, beta2, eps)
+            assert out[0] is param and out[1] is m and out[2] is v
+        np.testing.assert_allclose(param, ref_p, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(m, ref_m, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(v, ref_v, rtol=1e-12, atol=0)
+
 
 class TestTraining:
     def test_two_cliques_learn_block_structure(self):

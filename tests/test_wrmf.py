@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenerec import wrmf
 from scenerec.catalog import SimilarityGraph, UserVector
 from scenerec.persist import ModelMismatchError
 from scenerec.wrmf import (
@@ -303,6 +304,44 @@ class TestSerialization:
         save_factor_model(model, path)
         with pytest.raises(ModelMismatchError):
             load_factor_model(path, expected_index_hash="other")
+
+
+def mixed_degree_rows(rng, n, k):
+    """Rows of every kind ``half_sweep`` tells apart: degree 0, degree 1,
+    several rows of each degree in 2..k-1, and degree >= k."""
+    degrees = np.concatenate([[0, 0, 0, 1, 1], rng.integers(2, k, n - 11), rng.integers(k, 2 * k, 6)])
+    rng.shuffle(degrees)
+    return tuple(
+        np.sort(rng.choice(np.delete(np.arange(n), i), size=int(d), replace=False)).astype(np.int64)
+        for i, d in enumerate(degrees)
+    )
+
+
+class TestHalfSweep:
+    @pytest.mark.parametrize("lam, alpha", [(0.1, 15.0), (0.3, 0.0), (0.0, 15.0)])
+    @pytest.mark.parametrize("block_bytes", [None, 4000])
+    def test_matches_per_row_solve_reference(self, lam, alpha, block_bytes, monkeypatch):
+        if block_bytes is not None:
+            # small blocks split each degree group into several stacked solves
+            monkeypatch.setattr(wrmf, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(17)
+        n, k = 60, 8
+        rows = mixed_degree_rows(rng, n, k)
+        other = rng.standard_normal((n, k))
+        this = rng.standard_normal((n, k))
+        gram_reg = other.T @ other + lam * np.eye(k)
+        expected = np.stack([solve_row(obs, other, gram_reg, alpha) for obs in rows])
+        half_sweep(rows, this, other, lam, alpha)
+        np.testing.assert_allclose(this, expected, rtol=1e-10, atol=1e-12)
+        assert all(not this[i].any() for i, obs in enumerate(rows) if obs.size == 0)
+
+    def test_alpha_zero_trains_monotone(self):
+        rng = np.random.default_rng(5)
+        graph = SimilarityGraph(mixed_degree_rows(rng, 40, 6))
+        trace = train_wrmf(graph, WrmfConfig(k=6, lam=0.3, alpha=0.0, sweeps=4, seed=1)).objective_trace
+        assert all(np.isfinite(trace))
+        for a, b in zip(trace, trace[1:]):
+            assert b <= a + 1e-9 * abs(a)
 
 
 class TestSolveRow:
