@@ -1,14 +1,18 @@
 """Artist catalog: popularity scores, genre tags, and the similarity graph.
 
 The catalog is the shared data model every other module samples from or
-trains on. It is immutable after construction and safe to read from many
-threads. On disk a catalog is JSON Lines, one artist per line with fields
-``id``, ``name``, ``popularity``, ``genres``, ``similar``.
+trains on, and it is immutable after construction. Artists are sorted by id
+and share one dense index; the similarity graph over that index is held in
+CSR layout, one offsets array (``indptr``) into one flat array of similar
+indices (``indices``), so whole-graph operations are numpy calls. On disk a
+catalog is JSON Lines, one artist per line with fields ``id``, ``name``,
+``popularity``, ``genres``, ``similar``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -68,49 +72,74 @@ class Artist:
 
 @dataclass(frozen=True, eq=False)
 class SimilarityGraph:
-    """Binary artist-artist adjacency. ``rows[i]`` holds the sorted dense
-    indices of the artists listed as similar to artist i; entries are unique
-    and never include i itself."""
+    """Binary artist-artist adjacency in CSR layout: the artists listed as
+    similar to artist i are ``indices[indptr[i]:indptr[i + 1]]``, sorted,
+    unique and never i itself. Both arrays are int64; ``indptr`` has n + 1
+    nondecreasing offsets starting at 0 and ending at the edge count."""
 
-    rows: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SimilarityGraph":
+        """The graph whose row i lists ``rows[i]``, taken as given."""
+        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
+        indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+        return cls(indptr, indices)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.indptr.size - 1
 
-    @cached_property
+    @property
     def edge_count(self) -> int:
-        return int(sum(r.size for r in self.rows))
+        return self.indices.size
+
+    def row(self, i: int) -> np.ndarray:
+        """View of the sorted indices similar to artist i."""
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
+
+    def _row_of_edges(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     def to_dense(self) -> np.ndarray:
         """0/1 float matrix; intended for small graphs in tests and oracles."""
         dense = np.zeros((self.n, self.n))
-        for i, row in enumerate(self.rows):
-            dense[i, row] = 1.0
+        dense[self._row_of_edges(), self.indices] = 1.0
         return dense
 
     def transpose(self) -> "SimilarityGraph":
-        incoming: list[list[int]] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.rows):
-            for j in row:
-                incoming[int(j)].append(i)
-        return SimilarityGraph(tuple(np.asarray(r, dtype=np.int64) for r in incoming))
+        """Incoming lists: a stable sort of the edges by target keeps each
+        new row's sources in increasing order."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.n))))
+        return SimilarityGraph(indptr, self._row_of_edges()[order])
 
     def validate(self) -> None:
-        for i, row in enumerate(self.rows):
-            if row.size == 0:
-                continue
-            if row.min() < 0 or row.max() >= self.n:
-                raise CatalogError(f"row {i}: similar index outside the artist index")
-            if np.any(np.diff(row) <= 0):
-                raise CatalogError(f"row {i}: indices must be strictly increasing (set semantics)")
-            if np.any(row == i):
-                raise CatalogError(f"row {i}: self-loop")
+        """Raise CatalogError naming the first row with an index outside the
+        artist index, indices that are not strictly increasing, or a
+        self-loop."""
+        indptr, indices = self.indptr, self.indices
+        if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
+            raise CatalogError("row offsets do not partition the similar indices")
+        row_of = self._row_of_edges()
+        # an edge that does not exceed the one before it in the same row
+        unsorted = (np.diff(row_of, prepend=-1) == 0) & (np.diff(indices, prepend=0) <= 0)
+        checks = {
+            "similar index outside the artist index": (indices < 0) | (indices >= self.n),
+            "indices must be strictly increasing (set semantics)": unsorted,
+            "self-loop": indices == row_of,
+        }
+        bad = np.flatnonzero(np.logical_or.reduce(list(checks.values())))
+        if bad.size:
+            i = int(row_of[bad[0]])
+            edges = slice(indptr[i], indptr[i + 1])
+            raise CatalogError(f"row {i}: {next(m for m, flags in checks.items() if flags[edges].any())}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimilarityGraph):
             return NotImplemented
-        return self.n == other.n and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +164,7 @@ class Catalog:
             if artist.id in index:
                 raise CatalogError(f"duplicate artist id {artist.id!r}")
             index[artist.id] = pos
-        rows: list[np.ndarray] = []
+        rows: list[list[int]] = []
         for artist in ordered:
             cols: set[int] = set()
             for ref in similar.get(artist.id, ()):
@@ -144,8 +173,8 @@ class Catalog:
                 if ref == artist.id:
                     raise CatalogError(f"artist {artist.id!r}: listed as similar to itself")
                 cols.add(index[ref])
-            rows.append(np.asarray(sorted(cols), dtype=np.int64))
-        return cls(ordered, SimilarityGraph(tuple(rows)))
+            rows.append(sorted(cols))
+        return cls(ordered, SimilarityGraph.from_rows(rows))
 
     @property
     def n(self) -> int:
@@ -271,7 +300,7 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
                 "name": artist.name,
                 "popularity": artist.popularity,
                 "genres": list(artist.genres),
-                "similar": [catalog.ids[j] for j in catalog.graph.rows[i]],
+                "similar": [catalog.ids[j] for j in catalog.graph.row(i).tolist()],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-import zipfile
 from pathlib import Path
 
 from scenerec import catalog as cat
@@ -139,7 +138,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         algorithms=algorithms,
     )
-    report = evaluation.run_experiment(catalog, scorers, config, threads=args.threads)
+    report = evaluation.run_experiment(catalog, scorers, config)
     out = resolve_path(args.out)
     evaluation.write_report_csv(report, out)
     print(f"wrote report -> {out}")
@@ -164,7 +163,11 @@ def _print_report_rows(rows) -> None:
 def cmd_report(args: argparse.Namespace) -> int:
     path = resolve_path(args.infile)
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        # short rows read as empty fields, so a bad row fails in int()/float()
+        reader = csv.DictReader(fh, restval="")
+        missing = [c for c in evaluation.REPORT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: not a report CSV (missing column(s) {', '.join(missing)})")
         rows = []
         for rec in reader:
             rows.append(
@@ -242,7 +245,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="report CSV path")
     p_eval.add_argument("--per-trial", help="optional per-trial AUC CSV path")
     p_eval.add_argument("--plot-data", help="optional bin-midpoint/mean/stderr CSV path")
-    p_eval.add_argument("--threads", type=int, default=1, help="trial-level parallelism")
     p_eval.set_defaults(func=cmd_eval, required_fields=("seed", "catalog", "out"))
 
     p_report = sub.add_parser("report", help="pretty-print a report CSV", formatter_class=fmt)
@@ -286,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"the following arguments are required: {', '.join(missing)}")
     try:
         return args.func(args)
-    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError, zipfile.BadZipFile) as exc:
+    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,15 +9,15 @@ ranks the same trial (paired design), and per-bin AUC means with standard
 errors land in a CSV report.
 
 Per-trial randomness comes from a stream derived from (master seed, bin
-index, trial index), so trials can run in parallel and still reproduce the
-sequential run bit for bit.
+index, trial index), so a trial's draw does not depend on the trials run
+before it, on the trial count or on the chosen algorithms, and a run
+reproduces bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -32,6 +32,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_BINS: tuple[tuple[int, int], ...] = tuple((lo, lo + 4) for lo in range(0, 80, 5))
 TOP_POPULAR_POOL = 100
 MAX_TRIAL_RESAMPLES = 25
+REPORT_COLUMNS = ("algorithm", "bin_lo", "bin_hi", "n_trials", "mean_auc", "stderr")
 
 # A scorer maps a trial (and a private rng stream) to the candidate ids in
 # ranked order, best first. Model-backed scorers must not read the labels.
@@ -52,9 +53,6 @@ class Trial:
     seed_ids: tuple[str, ...]
     candidate_ids: tuple[str, ...]
     labels: tuple[bool, ...]
-
-    def label_of(self, candidate_id: str) -> bool:
-        return self.labels[self.candidate_ids.index(candidate_id)]
 
 
 @dataclass(frozen=True)
@@ -216,43 +214,7 @@ def _algo_stream(master_seed: int, bin_idx: int, trial_idx: int, algo_idx: int) 
     return np.random.default_rng([master_seed, bin_idx, trial_idx, algo_idx])
 
 
-def _run_one_trial(
-    catalog: Catalog,
-    scorers: Sequence[tuple[str, RankFn]],
-    config: ExperimentConfig,
-    bin_idx: int,
-    trial_idx: int,
-) -> tuple[int, list[float] | None]:
-    """Returns (resample count, per-algorithm AUCs or None if the trial
-    could not be sampled within the retry budget)."""
-    rng = _trial_stream(config.master_seed, bin_idx, trial_idx)
-    bin_range = config.bins[bin_idx]
-    trial = None
-    resamples = 0
-    for _ in range(MAX_TRIAL_RESAMPLES):
-        try:
-            trial = sample_trial(catalog, config, bin_range, rng)
-            break
-        except TrialSamplingError:
-            resamples += 1
-    if trial is None:
-        return resamples, None
-    label = dict(zip(trial.candidate_ids, trial.labels))
-    aucs: list[float] = []
-    for algo_idx, (name, rank) in enumerate(scorers):
-        ranked = list(rank(trial, _algo_stream(config.master_seed, bin_idx, trial_idx, algo_idx)))
-        if sorted(ranked) != sorted(trial.candidate_ids):
-            raise ValueError(f"scorer {name!r} returned a non-permutation of the candidates")
-        aucs.append(auc([label[cid] for cid in ranked]))
-    return resamples, aucs
-
-
-def run_experiment(
-    catalog: Catalog,
-    scorers: Mapping[str, RankFn],
-    config: ExperimentConfig,
-    threads: int = 1,
-) -> ExperimentReport:
+def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: ExperimentConfig) -> ExperimentReport:
     """Score every algorithm on the identical trial sequence for each
     popularity bin. Trials that cannot be sampled are counted and excluded
     from n; a bin where nothing is sampleable ends up with n_trials = 0."""
@@ -266,25 +228,29 @@ def run_experiment(
     if not selected:
         raise ValueError("no scorers to run")
 
-    tasks = [(b, t) for b in range(len(config.bins)) for t in range(config.trials_per_bin)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda bt: _run_one_trial(catalog, selected, config, *bt), tasks))
-    else:
-        outcomes = [_run_one_trial(catalog, selected, config, b, t) for b, t in tasks]
-
     per_bin_aucs: dict[tuple[str, int], list[tuple[int, float]]] = {
         (name, b): [] for name, _ in selected for b in range(len(config.bins))
     }
     resamples = [0] * len(config.bins)
     failed = [0] * len(config.bins)
-    for (b, t), (n_resampled, aucs) in zip(tasks, outcomes):
-        resamples[b] += n_resampled
-        if aucs is None:
-            failed[b] += 1
-            continue
-        for (name, _), value in zip(selected, aucs):
-            per_bin_aucs[(name, b)].append((t, value))
+    for b, bin_range in enumerate(config.bins):
+        for t in range(config.trials_per_bin):
+            rng = _trial_stream(config.master_seed, b, t)
+            for _ in range(MAX_TRIAL_RESAMPLES):
+                try:
+                    trial = sample_trial(catalog, config, bin_range, rng)
+                    break
+                except TrialSamplingError:
+                    resamples[b] += 1
+            else:
+                failed[b] += 1
+                continue
+            label = dict(zip(trial.candidate_ids, trial.labels))
+            for algo_idx, (name, rank) in enumerate(selected):
+                ranked = list(rank(trial, _algo_stream(config.master_seed, b, t, algo_idx)))
+                if sorted(ranked) != sorted(trial.candidate_ids):
+                    raise ValueError(f"scorer {name!r} returned a non-permutation of the candidates")
+                per_bin_aucs[(name, b)].append((t, auc([label[cid] for cid in ranked])))
 
     rows: list[BinResult] = []
     for name, _ in selected:
@@ -310,7 +276,7 @@ def _fmt(value: float | None) -> str:
 def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["algorithm", "bin_lo", "bin_hi", "n_trials", "mean_auc", "stderr"])
+        writer.writerow(REPORT_COLUMNS)
         for r in report.rows:
             writer.writerow([r.algorithm, r.bin_lo, r.bin_hi, r.n_trials, _fmt(r.mean_auc), _fmt(r.stderr)])
 

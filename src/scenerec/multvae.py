@@ -17,14 +17,14 @@ mean, so the same user vector always produces the same scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from scenerec.catalog import Catalog, SimilarityGraph, UserVector
-from scenerec.persist import check_index_hash, config_to_json, load_config, scalar_str
+from scenerec.persist import load_model, save_model
 
 EARLY_STOP_PATIENCE = 10
 EARLY_STOP_MIN_DELTA = 1e-6
@@ -218,7 +218,7 @@ def adam_step(
 def rows_to_dense(graph: SimilarityGraph, indices: Sequence[int]) -> np.ndarray:
     dense = np.zeros((len(indices), graph.n))
     for pos, i in enumerate(indices):
-        dense[pos, graph.rows[i]] = 1.0
+        dense[pos, graph.row(i)] = 1.0
     return dense
 
 
@@ -335,19 +335,9 @@ def rank_candidates_vae(
 
 
 def save_vae_model(model: VaeModel, path: str | Path) -> None:
-    arrays = {name: getattr(model, name) for name in PARAM_NAMES}
-    np.savez(
-        path,
-        config_json=np.str_(config_to_json(model.config)),
-        index_hash=np.str_(model.index_hash),
-        **arrays,
-    )
+    save_model(path, model.config, model.index_hash, model.params())
 
 
 def load_vae_model(path: str | Path, expected_index_hash: str | None = None) -> VaeModel:
-    with np.load(path) as data:
-        config = load_config(data, path, "multvae", VaeConfig, PARAM_NAMES)
-        stored_hash = scalar_str(data["index_hash"])
-        check_index_hash(stored_hash, expected_index_hash, path)
-        arrays = {name: data[name] for name in PARAM_NAMES}
-        return VaeModel(config=config, index_hash=stored_hash, **arrays)
+    config, index_hash, arrays = load_model(path, "multvae", VaeConfig, PARAM_NAMES, expected_index_hash)
+    return VaeModel(config=config, index_hash=index_hash, **arrays)

@@ -1,43 +1,53 @@
-"""Shared bits for model serialization."""
+"""Model files: one ``.npz`` holding the model's config as JSON, the hash of
+the artist index it was trained on, and its named arrays."""
 
 from __future__ import annotations
 
 import json
+import zipfile
+from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 
 class ModelMismatchError(RuntimeError):
-    """A model file does not fit its use: it was trained against a different
-    artist index than the catalog it is used with, or it is not a file of
-    the model kind it is loaded as."""
+    """A model file does not fit its use: it is not a model file, it is not
+    a file of the model kind it is loaded as, or it was trained against a
+    different artist index than the catalog it is used with."""
 
 
-def check_index_hash(stored: str, expected: str | None, path: str | Path) -> None:
-    if expected is not None and stored != expected:
-        raise ModelMismatchError(f"{path}: model was trained on a different catalog (index hash mismatch)")
+def save_model(path: str | Path, config, index_hash: str, arrays: Mapping[str, np.ndarray]) -> None:
+    """Write ``config`` (a dataclass), ``index_hash`` and ``arrays``."""
+    config_json = json.dumps(asdict(config), sort_keys=True)
+    np.savez(path, config_json=np.str_(config_json), index_hash=np.str_(index_hash), **arrays)
 
 
-def load_config(data, path: str | Path, kind: str, config_cls, array_names: Sequence[str]):
-    """The config stored in an opened ``.npz`` model file, after checking
-    that the file holds every array of a ``kind`` model and that the config
-    fits ``config_cls``; a file of another kind raises ModelMismatchError."""
-    missing = [name for name in ("config_json", "index_hash", *array_names) if name not in data.files]
+def load_model(
+    path: str | Path, kind: str, config_cls, array_names: Sequence[str], expected_index_hash: str | None = None
+):
+    """``(config, index_hash, {name: array})`` of a ``kind`` model file.
+    The kind shows in the array names and in the config fitting
+    ``config_cls``; any misfit, a file that is not an ``.npz`` and a hash
+    other than ``expected_index_hash`` raise ModelMismatchError."""
+    names = ("config_json", "index_hash", *array_names)
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with data:
+            arrays = {name: data[name] for name in names if name in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise ModelMismatchError(f"{path}: not a model file") from None
+    missing = [name for name in names if name not in arrays]
     if missing:
         raise ModelMismatchError(f"{path}: not a {kind} model file (missing {', '.join(missing)})")
     try:
-        return config_cls(**json.loads(scalar_str(data["config_json"])))
-    except TypeError as exc:
+        config = config_cls(**json.loads(str(arrays.pop("config_json"))))
+    except (TypeError, ValueError) as exc:
         raise ModelMismatchError(f"{path}: not a {kind} model file ({exc})") from None
-
-
-def config_to_json(config) -> str:
-    from dataclasses import asdict
-
-    return json.dumps(asdict(config), sort_keys=True)
-
-
-def scalar_str(npz_value: np.ndarray) -> str:
-    return str(npz_value.item() if npz_value.shape == () else npz_value)
+    index_hash = str(arrays.pop("index_hash"))
+    if expected_index_hash is not None and index_hash != expected_index_hash:
+        raise ModelMismatchError(f"{path}: model was trained on a different catalog (index hash mismatch)")
+    return config, index_hash, arrays

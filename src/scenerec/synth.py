@@ -10,11 +10,10 @@ scale without any external service.
 from __future__ import annotations
 
 import logging
-from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,33 +41,33 @@ class ProviderRecord:
     name: str | None = None
 
 
-class SimilarityProvider(ABC):
-    """Read-only artist lookup. Implementations must be pure: repeated
-    queries for the same id return identical records."""
+def _catalog_records(catalog: Catalog) -> dict[str, ProviderRecord]:
+    ids = catalog.ids
+    return {
+        artist.id: ProviderRecord(
+            popularity=artist.popularity,
+            genres=artist.genres,
+            similar=tuple(ids[j] for j in catalog.graph.row(i).tolist()),
+            name=artist.name,
+        )
+        for i, artist in enumerate(catalog.artists)
+    }
 
-    @abstractmethod
-    def lookup(self, artist_id: str) -> ProviderRecord:
-        """Return the record for ``artist_id``; raise KeyError if unknown."""
 
+class InMemoryProvider:
+    """Read-only artist lookup over a fixed record table; repeated queries
+    for the same id return identical records."""
 
-class InMemoryProvider(SimilarityProvider):
     def __init__(self, records: dict[str, ProviderRecord]):
         self._records = dict(records)
 
     def lookup(self, artist_id: str) -> ProviderRecord:
+        """Return the record for ``artist_id``; raise KeyError if unknown."""
         return self._records[artist_id]
 
     @classmethod
     def from_catalog(cls, catalog: Catalog) -> "InMemoryProvider":
-        records = {}
-        for i, artist in enumerate(catalog.artists):
-            records[artist.id] = ProviderRecord(
-                popularity=artist.popularity,
-                genres=artist.genres,
-                similar=tuple(catalog.ids[j] for j in catalog.graph.rows[i]),
-                name=artist.name,
-            )
-        return cls(records)
+        return cls(_catalog_records(catalog))
 
 
 class FixtureProvider(InMemoryProvider):
@@ -76,10 +75,10 @@ class FixtureProvider(InMemoryProvider):
     beyond what any one crawl will fetch."""
 
     def __init__(self, path: str | Path):
-        super().__init__(InMemoryProvider.from_catalog(load_catalog(path))._records)
+        super().__init__(_catalog_records(load_catalog(path)))
 
 
-def snowball_crawl(provider: SimilarityProvider, seeds: Sequence[str], limit: int) -> Catalog:
+def snowball_crawl(provider: InMemoryProvider, seeds: Sequence[str], limit: int) -> Catalog:
     """Breadth-first expansion from ``seeds``: fetch each frontier artist,
     enqueue its similar artists, stop once ``limit`` artists are fetched or
     the frontier empties.

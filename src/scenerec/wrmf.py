@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from scenerec.catalog import Catalog, SimilarityGraph, UserVector
-from scenerec.persist import check_index_hash, config_to_json, load_config, scalar_str
+from scenerec.persist import load_model, save_model
 
 # Upper bound on the temporaries of one stacked block of equal-degree rows,
 # in the Woodbury half-sweep and in the objective.
@@ -93,58 +93,54 @@ def solve_row(obs: np.ndarray, other: np.ndarray, gram_reg: np.ndarray, alpha: f
     return np.linalg.solve(a, b)
 
 
-def _degrees(rows: Sequence[np.ndarray]) -> np.ndarray:
-    return np.fromiter((obs.size for obs in rows), dtype=np.int64, count=len(rows))
-
-
 def _equal_degree_blocks(
-    rows: Sequence[np.ndarray], degrees: np.ndarray, selected: np.ndarray, row_bytes: Callable[[int], int]
+    graph: SimilarityGraph, degrees: np.ndarray, selected: np.ndarray, row_bytes: Callable[[int], int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(block, obs)`` for the ``selected`` rows, grouped by degree r:
-    ``block`` holds row indices, ``obs`` their observed indices as a
-    (len(block), r) array. A block holds at most BLOCK_BYTES // row_bytes(r)
-    rows, so the caller's per-row temporaries stay under BLOCK_BYTES."""
-    indptr = np.concatenate(([0], np.cumsum(degrees)))
-    flat = np.concatenate(rows) if len(rows) else np.empty(0, dtype=np.int64)
+    """Yield ``(block, obs)`` for the ``selected`` rows of ``graph``, grouped
+    by degree r: ``block`` holds row indices, ``obs`` their observed indices
+    as a (len(block), r) array. A block holds at most
+    BLOCK_BYTES // row_bytes(r) rows, so the caller's per-row temporaries
+    stay under BLOCK_BYTES."""
     for r in np.unique(degrees[selected]):
         group = np.flatnonzero(selected & (degrees == r))
         step = max(1, BLOCK_BYTES // row_bytes(r))
         for start in range(0, group.size, step):
             block = group[start : start + step]
-            yield block, flat[indptr[block, None] + np.arange(r)]
+            yield block, graph.indices[graph.indptr[block, None] + np.arange(r)]
 
 
-def half_sweep(rows: Sequence[np.ndarray], this: np.ndarray, other: np.ndarray, lam: float, alpha: float) -> None:
-    """Update every row of ``this`` in place against fixed ``other``: the
-    stacked Woodbury solve for rows with 0 < degree < k when lam > 0, the
-    direct ``solve_row`` for the rest (see the module docstring)."""
+def half_sweep(graph: SimilarityGraph, this: np.ndarray, other: np.ndarray, lam: float, alpha: float) -> None:
+    """Update every row of ``this`` in place against fixed ``other``, row i
+    observing ``graph.row(i)``: the stacked Woodbury solve for rows with
+    0 < degree < k when lam > 0, the direct ``solve_row`` for the rest (see
+    the module docstring)."""
     k = other.shape[1]
     gram_reg = other.T @ other + lam * np.eye(k)
-    degrees = _degrees(rows)
+    degrees = np.diff(graph.indptr)
     this[degrees == 0] = 0.0
     stacked = (degrees > 0) & (degrees < k) & (lam > 0)
     if stacked.any():
         w = np.linalg.solve(gram_reg, other.T).T
-        for block, obs in _equal_degree_blocks(rows, degrees, stacked, lambda r: 8 * (2 * r * k + 3 * r * r + k)):
+        for block, obs in _equal_degree_blocks(graph, degrees, stacked, lambda r: 8 * (2 * r * k + 3 * r * r + k)):
             r = obs.shape[1]
             w_obs = w[obs]
             kmat = np.eye(r) + alpha * (w_obs @ other[obs].transpose(0, 2, 1))
             u = np.linalg.solve(kmat, np.ones((block.size, r, 1)))
             this[block] = (1.0 + alpha) * (u.transpose(0, 2, 1) @ w_obs)[:, 0]
     for i in np.flatnonzero((degrees > 0) & ~stacked):
-        this[i] = solve_row(rows[i], other, gram_reg, alpha)
+        this[i] = solve_row(graph.row(i), other, gram_reg, alpha)
 
 
-def _objective_value(x: np.ndarray, y: np.ndarray, rows: Sequence[np.ndarray], lam: float, alpha: float) -> float:
+def _objective_value(x: np.ndarray, y: np.ndarray, graph: SimilarityGraph, lam: float, alpha: float) -> float:
     # sum over all cells of s_ij^2 equals tr((X^T X)(Y^T Y)), which for two
     # symmetric matrices is the sum of their elementwise product; observed
     # cells then swap their s^2 term for (1 + alpha)(1 - s)^2.
     xtx, yty = x.T @ x, y.T @ y
     total_sq = float(np.sum(xtx * yty))
     k = x.shape[1]
-    degrees = _degrees(rows)
+    degrees = np.diff(graph.indptr)
     observed = 0.0
-    for block, obs in _equal_degree_blocks(rows, degrees, degrees > 0, lambda r: 8 * (r * k + 3 * r)):
+    for block, obs in _equal_degree_blocks(graph, degrees, degrees > 0, lambda r: 8 * (r * k + 3 * r)):
         s = (y[obs] @ x[block, :, None])[..., 0]
         observed += float(((1.0 + alpha) * np.square(1.0 - s) - np.square(s)).sum())
     return total_sq + observed + lam * float(np.trace(xtx) + np.trace(yty))
@@ -155,7 +151,7 @@ def objective(model: FactorModel, graph: SimilarityGraph) -> float:
     given graph."""
     if graph.n != model.n:
         raise ValueError(f"graph has {graph.n} artists but model has {model.n}")
-    return _objective_value(model.row_factors, model.col_factors, graph.rows, model.config.lam, model.config.alpha)
+    return _objective_value(model.row_factors, model.col_factors, graph, model.config.lam, model.config.alpha)
 
 
 def train_wrmf(graph: SimilarityGraph, config: WrmfConfig, *, index_hash: str = "") -> FactorModel:
@@ -169,14 +165,13 @@ def train_wrmf(graph: SimilarityGraph, config: WrmfConfig, *, index_hash: str = 
     scale = 1.0 / np.sqrt(config.k)
     x = rng.standard_normal((n, config.k)) * scale
     y = rng.standard_normal((n, config.k)) * scale
-    rows = graph.rows
-    cols = graph.transpose().rows
-    trace = [_objective_value(x, y, rows, config.lam, config.alpha)]
+    transposed = graph.transpose()
+    trace = [_objective_value(x, y, graph, config.lam, config.alpha)]
     for sweep in range(config.sweeps):
-        half_sweep(rows, x, y, config.lam, config.alpha)
-        trace.append(_objective_value(x, y, rows, config.lam, config.alpha))
-        half_sweep(cols, y, x, config.lam, config.alpha)
-        trace.append(_objective_value(x, y, rows, config.lam, config.alpha))
+        half_sweep(graph, x, y, config.lam, config.alpha)
+        trace.append(_objective_value(x, y, graph, config.lam, config.alpha))
+        half_sweep(transposed, y, x, config.lam, config.alpha)
+        trace.append(_objective_value(x, y, graph, config.lam, config.alpha))
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise FloatingPointError(f"non-finite factors after sweep {sweep} (ill-conditioned; raise lam)")
     return FactorModel(x, y, config, index_hash, tuple(trace))
@@ -211,25 +206,17 @@ def rank_candidates(
 
 
 def save_factor_model(model: FactorModel, path: str | Path) -> None:
-    np.savez(
-        path,
-        row_factors=model.row_factors,
-        col_factors=model.col_factors,
-        config_json=np.str_(config_to_json(model.config)),
-        index_hash=np.str_(model.index_hash),
-        objective_trace=np.asarray(model.objective_trace),
-    )
+    arrays = {
+        "row_factors": model.row_factors,
+        "col_factors": model.col_factors,
+        "objective_trace": np.asarray(model.objective_trace),
+    }
+    save_model(path, model.config, model.index_hash, arrays)
 
 
 def load_factor_model(path: str | Path, expected_index_hash: str | None = None) -> FactorModel:
-    with np.load(path) as data:
-        config = load_config(data, path, "wrmf", WrmfConfig, ("row_factors", "col_factors", "objective_trace"))
-        stored_hash = scalar_str(data["index_hash"])
-        check_index_hash(stored_hash, expected_index_hash, path)
-        return FactorModel(
-            row_factors=data["row_factors"],
-            col_factors=data["col_factors"],
-            config=config,
-            index_hash=stored_hash,
-            objective_trace=tuple(float(v) for v in data["objective_trace"]),
-        )
+    config, index_hash, arrays = load_model(
+        path, "wrmf", WrmfConfig, ("row_factors", "col_factors", "objective_trace"), expected_index_hash
+    )
+    trace = tuple(float(v) for v in arrays["objective_trace"])
+    return FactorModel(arrays["row_factors"], arrays["col_factors"], config, index_hash, trace)

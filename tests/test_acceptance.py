@@ -94,7 +94,7 @@ def test_als_correctness():
         rows = tuple(
             np.flatnonzero((rng.random(n) < density) & (np.arange(n) != i)).astype(np.int64) for i in range(n)
         )
-        graph = SimilarityGraph(rows)
+        graph = SimilarityGraph.from_rows(rows)
         config = WrmfConfig(
             k=k,
             lam=float(rng.uniform(0.05, 1.0)),
@@ -109,12 +109,13 @@ def test_als_correctness():
 
         # one more half-sweep per side, then the analytic gradient of every
         # updated row must vanish
-        for sweep_rows, this, other in (
-            (graph.rows, model.row_factors.copy(), model.col_factors),
-            (graph.transpose().rows, model.col_factors.copy(), model.row_factors),
+        for sweep_graph, this, other in (
+            (graph, model.row_factors.copy(), model.col_factors),
+            (graph.transpose(), model.col_factors.copy(), model.row_factors),
         ):
-            half_sweep(sweep_rows, this, other, config.lam, config.alpha)
-            for i, obs in enumerate(sweep_rows):
+            half_sweep(sweep_graph, this, other, config.lam, config.alpha)
+            for i in range(n):
+                obs = sweep_graph.row(i)
                 p = np.zeros(n)
                 p[obs] = 1.0
                 conf = 1.0 + config.alpha * p

@@ -10,6 +10,7 @@ from scenerec.catalog import (
     Artist,
     Catalog,
     CatalogError,
+    SimilarityGraph,
     UserVector,
     artists_in_range,
     load_catalog,
@@ -38,8 +39,8 @@ class TestLoadCatalog:
         write_jsonl(path, [record("a", similar=["b"]), record("b"), record("c")])
         catalog = load_catalog(path)
         assert catalog.ids == ("a", "b", "c")
-        assert list(catalog.graph.rows[0]) == [1]
-        assert list(catalog.graph.rows[1]) == []
+        assert list(catalog.graph.row(0)) == [1]
+        assert list(catalog.graph.row(1)) == []
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -258,6 +259,16 @@ class TestTypes:
 
     def test_graph_validate_catches_bad_rows(self, six_artists):
         six_artists.graph.validate()
+        for bad_row, message in [
+            ([1, 4], "outside the artist index"),
+            ([-1, 1], "outside the artist index"),
+            ([3, 1], "strictly increasing"),
+            ([1, 1], "strictly increasing"),
+            ([1, 2], "self-loop"),
+        ]:
+            # row 3 is bad too: the first bad row is the one named
+            with pytest.raises(CatalogError, match=f"row 2: .*{message}"):
+                SimilarityGraph.from_rows([[1, 3], [], bad_row, [0, 0]]).validate()
 
     def test_user_vector_from_ids(self, six_artists):
         user = UserVector.from_ids(six_artists, ["b", "a", "b"])
@@ -272,3 +283,35 @@ class TestTypes:
     def test_index_hash_changes_with_ids(self, six_artists):
         other = build_catalog([("a", 80, ["rock"])])
         assert six_artists.index_hash() != other.index_hash()
+
+
+@st.composite
+def similarity_graphs(draw):
+    """Valid graphs of up to 12 artists; many rows come out empty."""
+    n = draw(st.integers(0, 12))
+    rows = [sorted(draw(st.sets(st.sampled_from([j for j in range(n) if j != i]), max_size=4))) if n > 1 else []
+            for i in range(n)]
+    return SimilarityGraph.from_rows(rows)
+
+
+class TestSimilarityGraph:
+    @settings(max_examples=200, deadline=None)
+    @given(similarity_graphs())
+    def test_transpose_is_the_dense_transpose_and_an_involution(self, graph):
+        graph.validate()
+        transposed = graph.transpose()
+        transposed.validate()
+        assert np.array_equal(transposed.to_dense(), graph.to_dense().T)
+        assert transposed.transpose() == graph
+        assert transposed.edge_count == graph.edge_count
+
+    def test_row_is_a_view_of_the_csr_arrays(self):
+        graph = SimilarityGraph.from_rows([[1, 2], [], [0]])
+        assert graph.n == 3 and graph.edge_count == 3
+        assert list(graph.indptr) == [0, 2, 2, 3] and graph.indptr.dtype == graph.indices.dtype == np.int64
+        assert list(graph.row(0)) == [1, 2] and graph.row(1).size == 0
+        assert np.shares_memory(graph.row(2), graph.indices)
+
+    def test_validate_rejects_offsets_that_do_not_cover_the_indices(self):
+        with pytest.raises(CatalogError, match="offsets"):
+            SimilarityGraph(np.asarray([0, 2], dtype=np.int64), np.asarray([1], dtype=np.int64)).validate()

@@ -132,15 +132,6 @@ class TestEvalCommand:
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path, small_catalog_file, trained_models):
-        wrmf_path, _ = trained_models
-        seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-        base = ["eval", "--catalog", small_catalog_file, "--model", f"wrmf={wrmf_path}", "--bins", "0-9,10-19",
-                "--trials", 8, "--seed", 2]
-        run(base + ["--out", seq])
-        run(base + ["--out", par, "--threads", 4])
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_plot_data_and_per_trial_outputs(self, tmp_path, small_catalog_file):
         out, plot, per = tmp_path / "r.csv", tmp_path / "plot.csv", tmp_path / "trials.csv"
         code = run(["eval", "--catalog", small_catalog_file, "--algorithms", "oracle", "--bins", "0-9",
@@ -171,12 +162,14 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not a " + kind in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["missing array", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing array", "truncated", "catalog jsonl"])
     def test_damaged_model_file_fails_in_one_line(self, tmp_path, small_catalog_file, trained_models, damage,
                                                   capsys):
         broken = tmp_path / "broken.npz"
         if damage == "truncated":
             broken.write_bytes(trained_models[0].read_bytes()[:3000])
+        elif damage == "catalog jsonl":
+            broken = small_catalog_file
         else:
             with np.load(trained_models[0]) as data:
                 np.savez(broken, **{name: data[name] for name in data.files if name != "col_factors"})
@@ -185,7 +178,8 @@ class TestEvalCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert damage == "truncated" or "col_factors" in err
+        assert damage != "missing array" or "col_factors" in err
+        assert damage != "catalog jsonl" or (f"{broken}: not a model file" in err and "pickle" not in err)
 
 
 class TestReportCommand:
@@ -197,6 +191,13 @@ class TestReportCommand:
         assert run(["report", out]) == 0
         printed = capsys.readouterr().out
         assert "oracle" in printed and "mean AUC" in printed
+
+    def test_csv_without_report_columns_fails_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "other.csv"
+        path.write_text("a,b\n1,2\n")
+        assert run(["report", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing column" in err and err.count("\n") == 1
 
 
 class TestConfigFileAndEnv:

@@ -207,14 +207,6 @@ class TestRunExperiment:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_threads_match_sequential(self, synth_catalog):
-        config = ExperimentConfig(bins=((0, 4), (5, 9), (10, 14)), trials_per_bin=10, master_seed=2)
-        scorers = {"oracle": oracle_scorer, "random": random_scorer}
-        sequential = run_experiment(synth_catalog, scorers, config, threads=1)
-        parallel = run_experiment(synth_catalog, scorers, config, threads=4)
-        assert sequential.rows == parallel.rows
-        assert sequential.failed_trials_per_bin == parallel.failed_trials_per_bin
-
     def test_unsampleable_bin_reported_empty(self):
         catalog = build_catalog(
             [(f"a{i}", 10, ["rock"]) for i in range(20)] + [(f"b{i}", 12, ["jazz"]) for i in range(20)]

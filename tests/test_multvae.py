@@ -22,7 +22,7 @@ from tests.conftest import build_catalog
 
 
 def graph_from_lists(rows):
-    return SimilarityGraph(tuple(np.asarray(sorted(r), dtype=np.int64) for r in rows))
+    return SimilarityGraph.from_rows([sorted(r) for r in rows])
 
 
 def two_cliques_graph():
@@ -167,7 +167,7 @@ class TestTraining:
         model, trace = train_multvae(graph, config)
         assert len(trace.train_loss) == 200
         assert trace.train_loss[-1] < trace.train_loss[0]
-        scores = np.vstack([predict(model, UserVector(graph.rows[i], 10)) for i in range(10)])
+        scores = np.vstack([predict(model, UserVector(graph.row(i), 10)) for i in range(10)])
         intra = [scores[i, j] for i in range(10) for j in range(10) if i != j and (i < 5) == (j < 5)]
         cross = [scores[i, j] for i in range(10) for j in range(10) if (i < 5) != (j < 5)]
         assert min(intra) > max(cross)

@@ -33,8 +33,8 @@ class TestSnowballCrawl:
         catalog = snowball_crawl(chain_provider(), ["a"], 3)
         assert catalog.ids == ("a", "b", "c")
         a, b, c = (catalog.index[x] for x in "abc")
-        assert list(catalog.graph.rows[a]) == [b]
-        assert list(catalog.graph.rows[b]) == [c]
+        assert list(catalog.graph.row(a)) == [b]
+        assert list(catalog.graph.row(b)) == [c]
 
     def test_no_seeds_empty_catalog(self):
         assert snowball_crawl(chain_provider(), [], 10).n == 0
@@ -43,7 +43,7 @@ class TestSnowballCrawl:
         catalog = snowball_crawl(chain_provider(), ["a"], 2)
         assert catalog.ids == ("a", "b")
         # b's reference to c is dropped because c was never fetched
-        assert list(catalog.graph.rows[catalog.index["b"]]) == []
+        assert list(catalog.graph.row(catalog.index["b"])) == []
 
     def test_zero_limit(self):
         assert snowball_crawl(chain_provider(), ["a"], 0).n == 0
@@ -62,7 +62,7 @@ class TestSnowballCrawl:
     def test_self_reference_dropped(self):
         provider = InMemoryProvider({"a": ProviderRecord(10, (), ("a", "b")), "b": ProviderRecord(5, (), ())})
         catalog = snowball_crawl(provider, ["a"], 10)
-        assert list(catalog.graph.rows[catalog.index["a"]]) == [catalog.index["b"]]
+        assert list(catalog.graph.row(catalog.index["a"])) == [catalog.index["b"]]
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
@@ -110,9 +110,9 @@ class TestGenerateCatalog:
     def test_pure_intra_genre_edges(self):
         config = SynthConfig(seed=5, artist_count=80, intra_genre_prob=1.0, cross_genre_prob=0.0, similar_per_artist=3)
         catalog = generate_catalog(config)
-        for i, row in enumerate(catalog.graph.rows):
+        for i in range(catalog.n):
             mine = set(catalog.artists[i].genres)
-            for j in row:
+            for j in catalog.graph.row(i):
                 assert mine & set(catalog.artists[j].genres)
 
     def test_invariants_hold(self):
@@ -140,8 +140,8 @@ class TestGenerateCatalog:
     def test_popular_artists_gain_in_degree(self):
         catalog = generate_catalog(SynthConfig(seed=3, artist_count=1500, similar_per_artist=10))
         in_degree = np.zeros(catalog.n)
-        for row in catalog.graph.rows:
-            in_degree[row] += 1
+        for i in range(catalog.n):
+            in_degree[catalog.graph.row(i)] += 1
         pops = catalog.popularities
         assert in_degree[pops >= 60].mean() > 5 * max(in_degree[pops <= 10].mean(), 0.01)
 

@@ -22,7 +22,7 @@ from tests.conftest import build_catalog
 
 
 def graph_from_lists(rows):
-    return SimilarityGraph(tuple(np.asarray(sorted(r), dtype=np.int64) for r in rows))
+    return SimilarityGraph.from_rows([sorted(r) for r in rows])
 
 
 def random_graph(rng, n, density=0.15):
@@ -148,9 +148,10 @@ class TestTraining:
         model = train_wrmf(graph, config)
         x = model.row_factors.copy()
         y = model.col_factors
-        half_sweep(graph.rows, x, y, config.lam, config.alpha)
+        half_sweep(graph, x, y, config.lam, config.alpha)
         # gradient wrt row i: 2[(Y^T C_i Y + lam I) x_i - Y^T C_i p_i]
-        for i, obs in enumerate(graph.rows):
+        for i in range(graph.n):
+            obs = graph.row(i)
             p = np.zeros(graph.n)
             p[obs] = 1.0
             conf = 1.0 + config.alpha * p
@@ -204,8 +205,9 @@ class TestFoldIn:
         config = WrmfConfig(k=4, lam=0.2, alpha=15.0, sweeps=3, seed=9)
         model = train_wrmf(graph, config)
         x = model.row_factors.copy()
-        half_sweep(graph.rows, x, model.col_factors, config.lam, config.alpha)
-        for i, obs in enumerate(graph.rows):
+        half_sweep(graph, x, model.col_factors, config.lam, config.alpha)
+        for i in range(graph.n):
+            obs = graph.row(i)
             if obs.size == 0:
                 continue
             user = UserVector(obs, graph.n)
@@ -331,13 +333,13 @@ class TestHalfSweep:
         this = rng.standard_normal((n, k))
         gram_reg = other.T @ other + lam * np.eye(k)
         expected = np.stack([solve_row(obs, other, gram_reg, alpha) for obs in rows])
-        half_sweep(rows, this, other, lam, alpha)
+        half_sweep(SimilarityGraph.from_rows(rows), this, other, lam, alpha)
         np.testing.assert_allclose(this, expected, rtol=1e-10, atol=1e-12)
         assert all(not this[i].any() for i, obs in enumerate(rows) if obs.size == 0)
 
     def test_alpha_zero_trains_monotone(self):
         rng = np.random.default_rng(5)
-        graph = SimilarityGraph(mixed_degree_rows(rng, 40, 6))
+        graph = SimilarityGraph.from_rows(mixed_degree_rows(rng, 40, 6))
         trace = train_wrmf(graph, WrmfConfig(k=6, lam=0.3, alpha=0.0, sweeps=4, seed=1)).objective_trace
         assert all(np.isfinite(trace))
         for a, b in zip(trace, trace[1:]):
