@@ -4,9 +4,13 @@ The catalog is the shared data model every other module samples from or
 trains on, and it is immutable after construction. Artists are sorted by id
 and share one dense index; the similarity graph over that index is held in
 CSR layout, one offsets array (``indptr``) into one flat array of similar
-indices (``indices``), so whole-graph operations are numpy calls. On disk a
-catalog is JSON Lines, one artist per line with fields ``id``, ``name``,
-``popularity``, ``genres``, ``similar``.
+indices (``indices``), so whole-graph operations are numpy calls. Genre
+membership is held once, as a table per genre of its members ranked by
+popularity (most popular first, ties to the smaller index); trial sampling's
+two queries read it with array operations: ``top_popular_in_genre`` takes a
+prefix, ``artists_in_range`` a ``searchsorted`` slice put back in id order.
+On disk a catalog is JSON Lines, one artist per line with fields ``id``,
+``name``, ``popularity``, ``genres``, ``similar``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -142,12 +146,25 @@ class SimilarityGraph:
         return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
 
 
+class GenreRanking(NamedTuple):
+    """One genre's members ranked by popularity, most popular first, ties
+    going to the smaller index: int32 artist indices and, in the same order,
+    their int8 popularities negated, so the column ascends for
+    ``searchsorted``."""
+
+    indices: np.ndarray
+    neg_popularity: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Catalog:
     """Artists plus their similarity graph over a shared dense index.
 
     Row i of the graph belongs to ``artists[i]``; artists are kept sorted by
     id so the index (and everything derived from it) is deterministic.
+    ``genre_ranking`` maps each genre tag to a GenreRanking of its members,
+    built once on first use; it is the catalog's only genre index and
+    serves ``genres``, ``select_genres_greedy`` and both sampling queries.
     """
 
     artists: tuple[Artist, ...]
@@ -193,16 +210,26 @@ class Catalog:
         return np.asarray([a.popularity for a in self.artists], dtype=np.int64)
 
     @cached_property
-    def by_genre(self) -> Mapping[str, tuple[int, ...]]:
-        table: dict[str, list[int]] = {}
-        for i, artist in enumerate(self.artists):
-            for g in artist.genres:
-                table.setdefault(g, []).append(i)
-        return {g: tuple(v) for g, v in table.items()}
+    def genre_ranking(self) -> Mapping[str, GenreRanking]:
+        # one (genre code, artist index) pair per tag, sorted by genre, then
+        # popularity descending, then index, and split at the genre sizes;
+        # compact dtypes and no list of every tag keep the build's peak
+        # memory low
+        names = sorted({g for a in self.artists for g in a.genres})
+        code_of = {g: c for c, g in enumerate(names)}
+        tag_counts = np.fromiter((len(a.genres) for a in self.artists), dtype=np.int32, count=self.n)
+        members = np.repeat(np.arange(self.n, dtype=np.int32), tag_counts)
+        tag_codes = (code_of[g] for a in self.artists for g in a.genres)
+        codes = np.fromiter(tag_codes, dtype=np.int32, count=members.size)
+        neg_popularity = np.fromiter((-a.popularity for a in self.artists), dtype=np.int8, count=self.n)[members]
+        order = np.lexsort((members, neg_popularity, codes))
+        bounds = np.cumsum(np.bincount(codes, minlength=len(names)))[:-1]
+        columns = zip(np.split(members[order], bounds), np.split(neg_popularity[order], bounds))
+        return {name: GenreRanking(*column) for name, column in zip(names, columns)}
 
     @cached_property
     def genres(self) -> tuple[str, ...]:
-        return tuple(sorted(self.by_genre))
+        return tuple(sorted(self.genre_ranking))
 
     def index_hash(self) -> str:
         """Digest of the artist index; stored with trained models so a model
@@ -343,7 +370,7 @@ def select_genres_greedy(catalog: Catalog, n: int) -> list[str]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    remaining: dict[str, set[int]] = {g: set(v) for g, v in catalog.by_genre.items()}
+    remaining: dict[str, set[int]] = {g: set(r.indices.tolist()) for g, r in catalog.genre_ranking.items()}
     picked: list[str] = []
     for _ in range(n):
         best_genre = ""
@@ -366,8 +393,14 @@ def artists_in_range(catalog: Catalog, genre: str, lo: int, hi: int) -> list[str
     closed range [lo, hi], in id order. Unknown genres yield an empty list."""
     if not (0 <= lo <= hi <= 100):
         raise ValueError(f"invalid popularity range [{lo}, {hi}]")
-    members = catalog.by_genre.get(genre, ())
-    return [catalog.ids[i] for i in members if lo <= catalog.artists[i].popularity <= hi]
+    ranking = catalog.genre_ranking.get(genre)
+    if ranking is None:
+        return []
+    # the members in range are one contiguous run of the ranking
+    start = np.searchsorted(ranking.neg_popularity, -hi, side="left")
+    stop = np.searchsorted(ranking.neg_popularity, -lo, side="right")
+    ids = catalog.ids
+    return [ids[i] for i in np.sort(ranking.indices[start:stop]).tolist()]
 
 
 def top_popular_in_genre(catalog: Catalog, genre: str, n: int) -> list[str]:
@@ -375,6 +408,8 @@ def top_popular_in_genre(catalog: Catalog, genre: str, n: int) -> list[str]:
     toward the smaller id."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    members = catalog.by_genre.get(genre, ())
-    ranked = sorted(members, key=lambda i: (-catalog.artists[i].popularity, catalog.ids[i]))
-    return [catalog.ids[i] for i in ranked[:n]]
+    ranking = catalog.genre_ranking.get(genre)
+    if ranking is None:
+        return []
+    ids = catalog.ids
+    return [ids[i] for i in ranking.indices[:n].tolist()]

@@ -170,17 +170,20 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise ValueError(f"{path}: not a report CSV (missing column(s) {', '.join(missing)})")
         rows = []
         for rec in reader:
-            rows.append(
-                evaluation.BinResult(
-                    algorithm=rec["algorithm"],
-                    bin_lo=int(rec["bin_lo"]),
-                    bin_hi=int(rec["bin_hi"]),
-                    n_trials=int(rec["n_trials"]),
-                    mean_auc=float(rec["mean_auc"]) if rec["mean_auc"] else None,
-                    stderr=float(rec["stderr"]) if rec["stderr"] else None,
-                    trial_aucs=(),
+            try:
+                rows.append(
+                    evaluation.BinResult(
+                        algorithm=rec["algorithm"],
+                        bin_lo=int(rec["bin_lo"]),
+                        bin_hi=int(rec["bin_hi"]),
+                        n_trials=int(rec["n_trials"]),
+                        mean_auc=float(rec["mean_auc"]) if rec["mean_auc"] else None,
+                        stderr=float(rec["stderr"]) if rec["stderr"] else None,
+                        trial_aucs=(),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: bad report row ({exc})") from None
     _print_report_rows(rows)
     return 0
 

@@ -29,7 +29,20 @@ from scenerec.persist import load_model, save_model
 EARLY_STOP_PATIENCE = 10
 EARLY_STOP_MIN_DELTA = 1e-6
 
-PARAM_NAMES = ("w_enc", "b_enc", "w_mu", "b_mu", "w_logvar", "b_logvar", "w_dec", "b_dec", "w_out", "b_out")
+# each parameter's axes, named by the VaeConfig fields that size them
+PARAM_SHAPES: dict[str, tuple[str, ...]] = {
+    "w_enc": ("n_items", "hidden"),
+    "b_enc": ("hidden",),
+    "w_mu": ("hidden", "bottleneck"),
+    "b_mu": ("bottleneck",),
+    "w_logvar": ("hidden", "bottleneck"),
+    "b_logvar": ("bottleneck",),
+    "w_dec": ("bottleneck", "hidden"),
+    "b_dec": ("hidden",),
+    "w_out": ("hidden", "n_items"),
+    "b_out": ("n_items",),
+}
+PARAM_NAMES = tuple(PARAM_SHAPES)
 
 
 class TrainingDiverged(RuntimeError):
@@ -339,5 +352,5 @@ def save_vae_model(model: VaeModel, path: str | Path) -> None:
 
 
 def load_vae_model(path: str | Path, expected_index_hash: str | None = None) -> VaeModel:
-    config, index_hash, arrays = load_model(path, "multvae", VaeConfig, PARAM_NAMES, expected_index_hash)
+    config, index_hash, arrays = load_model(path, "multvae", VaeConfig, PARAM_SHAPES, expected_index_hash)
     return VaeModel(config=config, index_hash=index_hash, **arrays)

@@ -25,13 +25,20 @@ def save_model(path: str | Path, config, index_hash: str, arrays: Mapping[str, n
 
 
 def load_model(
-    path: str | Path, kind: str, config_cls, array_names: Sequence[str], expected_index_hash: str | None = None
+    path: str | Path,
+    kind: str,
+    config_cls,
+    shapes: Mapping[str, Sequence[str]],
+    expected_index_hash: str | None = None,
 ):
     """``(config, index_hash, {name: array})`` of a ``kind`` model file.
-    The kind shows in the array names and in the config fitting
-    ``config_cls``; any misfit, a file that is not an ``.npz`` and a hash
-    other than ``expected_index_hash`` raise ModelMismatchError."""
-    names = ("config_json", "index_hash", *array_names)
+    ``shapes`` names each array with one label per axis: a label that is a
+    config field must equal that field, any other label must take one size
+    across the arrays. The kind shows in the array names and in the config
+    fitting ``config_cls``; any misfit, an array of another shape, a file
+    that is not an ``.npz`` and a hash other than ``expected_index_hash``
+    raise ModelMismatchError."""
+    names = ("config_json", "index_hash", *shapes)
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -47,6 +54,12 @@ def load_model(
         config = config_cls(**json.loads(str(arrays.pop("config_json"))))
     except (TypeError, ValueError) as exc:
         raise ModelMismatchError(f"{path}: not a {kind} model file ({exc})") from None
+    sizes = asdict(config)
+    for name, axes in shapes.items():
+        shape = arrays[name].shape
+        if len(shape) != len(axes) or any(sizes.setdefault(a, n) != n for a, n in zip(axes, shape)):
+            expected = ", ".join(f"{a}={sizes[a]}" if a in sizes else a for a in axes)
+            raise ModelMismatchError(f"{path}: array {name} has shape {shape}, expected ({expected})")
     index_hash = str(arrays.pop("index_hash"))
     if expected_index_hash is not None and index_hash != expected_index_hash:
         raise ModelMismatchError(f"{path}: model was trained on a different catalog (index hash mismatch)")

@@ -215,8 +215,7 @@ def save_factor_model(model: FactorModel, path: str | Path) -> None:
 
 
 def load_factor_model(path: str | Path, expected_index_hash: str | None = None) -> FactorModel:
-    config, index_hash, arrays = load_model(
-        path, "wrmf", WrmfConfig, ("row_factors", "col_factors", "objective_trace"), expected_index_hash
-    )
+    shapes = {"row_factors": ("artists", "k"), "col_factors": ("artists", "k"), "objective_trace": ("half_sweeps",)}
+    config, index_hash, arrays = load_model(path, "wrmf", WrmfConfig, shapes, expected_index_hash)
     trace = tuple(float(v) for v in arrays["objective_trace"])
     return FactorModel(arrays["row_factors"], arrays["col_factors"], config, index_hash, trace)

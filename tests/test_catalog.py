@@ -184,10 +184,10 @@ class TestGreedyGenres:
     def test_first_pick_maximizes_coverage(self, catalog):
         picked = select_genres_greedy(catalog, 1)
         if not picked:
-            assert not catalog.by_genre
+            assert not catalog.genre_ranking
             return
-        best = max(len(v) for v in catalog.by_genre.values())
-        assert len(catalog.by_genre[picked[0]]) == best
+        best = max(len(r.indices) for r in catalog.genre_ranking.values())
+        assert len(catalog.genre_ranking[picked[0]].indices) == best
 
     @given(catalogs(), st.integers(0, 5))
     @settings(max_examples=60, deadline=None)
@@ -195,7 +195,7 @@ class TestGreedyGenres:
         def covered(genre_list):
             hit = set()
             for g in genre_list:
-                hit.update(catalog.by_genre.get(g, ()))
+                hit.update(catalog.genre_ranking[g].indices.tolist())
             return len(hit)
 
         assert covered(select_genres_greedy(catalog, n + 1)) >= covered(select_genres_greedy(catalog, n))
@@ -244,6 +244,43 @@ class TestTopPopular:
     def test_n_below_one_rejected(self, six_artists):
         with pytest.raises(ValueError):
             top_popular_in_genre(six_artists, "rock", 0)
+
+
+@st.composite
+def ranked_catalogs(draw):
+    """Catalogs with popularity ties, untagged artists and one-member genres."""
+    ids = draw(ids_strategy)
+    artists = []
+    for aid in ids:
+        pop = draw(st.one_of(st.sampled_from([0, 7, 100]), st.integers(0, 100)))
+        genres = draw(st.lists(st.sampled_from(["rock", "jazz", "pop"]), max_size=3, unique=True))
+        if draw(st.booleans()):
+            genres.append(f"solo-{aid}")
+        artists.append(Artist(id=aid, name=aid, popularity=pop, genres=tuple(genres)))
+    return Catalog.build(artists, {})
+
+
+class TestGenreQueriesMatchBruteForce:
+    @given(ranked_catalogs())
+    @settings(max_examples=25, deadline=None)
+    def test_artists_in_range_every_range(self, catalog):
+        for genre in catalog.genres:
+            members = [a for a in catalog.artists if genre in a.genres]
+            for lo in range(101):
+                for hi in range(lo, 101):
+                    expected = [a.id for a in members if lo <= a.popularity <= hi]
+                    assert artists_in_range(catalog, genre, lo, hi) == expected
+        assert artists_in_range(catalog, "zydeco", 0, 100) == []
+
+    @given(ranked_catalogs())
+    @settings(max_examples=60, deadline=None)
+    def test_top_popular_every_n(self, catalog):
+        for genre in catalog.genres:
+            members = [a for a in catalog.artists if genre in a.genres]
+            ranked = [a.id for a in sorted(members, key=lambda a: (-a.popularity, a.id))]
+            for n in range(1, len(members) + 3):
+                assert top_popular_in_genre(catalog, genre, n) == ranked[:n]
+        assert top_popular_in_genre(catalog, "zydeco", 5) == []
 
 
 class TestTypes:

@@ -6,6 +6,7 @@ import pytest
 
 from scenerec.catalog import load_catalog, save_catalog
 from scenerec.cli import main
+from scenerec.evaluation import REPORT_COLUMNS
 from scenerec.multvae import load_vae_model
 from scenerec.synth import SynthConfig, generate_catalog
 from scenerec.wrmf import load_factor_model
@@ -162,23 +163,34 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not a " + kind in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("damage", ["missing array", "truncated", "catalog jsonl"])
+    @pytest.mark.parametrize(
+        "damage", ["missing array", "truncated", "catalog jsonl", "wrmf array shape", "multvae array shape"]
+    )
     def test_damaged_model_file_fails_in_one_line(self, tmp_path, small_catalog_file, trained_models, damage,
                                                   capsys):
+        kind, source = ("multvae", trained_models[1]) if damage.startswith("multvae") else ("wrmf", trained_models[0])
+        # the array each damage names in the error, if any
+        named = {"missing array": "col_factors", "wrmf array shape": "col_factors", "multvae array shape": "w_mu"}
         broken = tmp_path / "broken.npz"
         if damage == "truncated":
-            broken.write_bytes(trained_models[0].read_bytes()[:3000])
+            broken.write_bytes(source.read_bytes()[:3000])
         elif damage == "catalog jsonl":
             broken = small_catalog_file
         else:
-            with np.load(trained_models[0]) as data:
-                np.savez(broken, **{name: data[name] for name in data.files if name != "col_factors"})
-        code = run(["eval", "--catalog", small_catalog_file, "--model", f"wrmf={broken}", "--trials", 1,
+            with np.load(source) as data:
+                arrays = {name: data[name] for name in data.files}
+            if damage == "missing array":
+                del arrays["col_factors"]
+            else:
+                arrays[named[damage]] = arrays[named[damage]][:, :4]
+            np.savez(broken, **arrays)
+        code = run(["eval", "--catalog", small_catalog_file, "--model", f"{kind}={broken}", "--trials", 1,
                     "--seed", 1, "--out", tmp_path / "r.csv"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert damage != "missing array" or "col_factors" in err
+        assert damage not in named or named[damage] in err
+        assert "shape" not in damage or (f"{broken}: array {named[damage]} has shape" in err)
         assert damage != "catalog jsonl" or (f"{broken}: not a model file" in err and "pickle" not in err)
 
 
@@ -191,6 +203,13 @@ class TestReportCommand:
         assert run(["report", out]) == 0
         printed = capsys.readouterr().out
         assert "oracle" in printed and "mean AUC" in printed
+
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(REPORT_COLUMNS) + "\noracle,0\n")
+        assert run(["report", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: bad report row") and err.count("\n") == 1
 
     def test_csv_without_report_columns_fails_in_one_line(self, tmp_path, capsys):
         path = tmp_path / "other.csv"
