@@ -60,7 +60,7 @@ class CatalogError(ValueError):
 @dataclass(frozen=True)
 class Artist:
     """One artist record. ``popularity`` is an integer on the 0-100 scale;
-    ``genres`` is an ordered, possibly empty list of tags."""
+    ``genres`` is an ordered, possibly empty list of distinct tags."""
 
     id: str
     name: str
@@ -72,6 +72,9 @@ class Artist:
             raise CatalogError(f"artist {self.id!r}: popularity must be an integer, got {self.popularity!r}")
         if not 0 <= self.popularity <= 100:
             raise CatalogError(f"artist {self.id!r}: popularity {self.popularity} outside [0, 100]")
+        if len(set(self.genres)) != len(self.genres):
+            repeated = next(g for i, g in enumerate(self.genres) if g in self.genres[:i])
+            raise CatalogError(f"artist {self.id!r}: genre {repeated!r} listed twice")
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +256,6 @@ class PercentileReport:
     p50: int
     p75: int
     p95: int
-
-    def as_row(self) -> tuple[str, int, int, int, int, int]:
-        return (self.label, self.count, self.p25, self.p50, self.p75, self.p95)
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,7 +41,10 @@ def _parse_bins(text: str) -> tuple[tuple[int, int], ...]:
     bins = []
     for part in text.split(","):
         lo, _, hi = part.strip().partition("-")
-        bins.append((int(lo), int(hi)))
+        try:
+            bins.append((int(lo), int(hi)))
+        except ValueError:
+            raise ValueError(f"--bins: bad range {part.strip()!r} (expected lo-hi)") from None
     return tuple(bins)
 
 
@@ -132,13 +135,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     algorithms = _parse_id_list(args.algorithms) if args.algorithms else tuple(n for n in scorers if n not in ("random", "oracle"))
     if not algorithms:
         raise ValueError("nothing to evaluate: give --model and/or --algorithms")
-    config = evaluation.ExperimentConfig(
-        bins=_parse_bins(args.bins),
-        trials_per_bin=args.trials,
-        master_seed=args.seed,
-        algorithms=algorithms,
-    )
-    report = evaluation.run_experiment(catalog, scorers, config)
+    config = evaluation.ExperimentConfig(bins=_parse_bins(args.bins), trials_per_bin=args.trials, master_seed=args.seed)
+    missing = [name for name in algorithms if name not in scorers]
+    if missing:
+        raise ValueError(f"unknown algorithm name(s): {', '.join(missing)}")
+    report = evaluation.run_experiment(catalog, {name: scorers[name] for name in algorithms}, config)
     out = resolve_path(args.out)
     evaluation.write_report_csv(report, out)
     print(f"wrote report -> {out}")

@@ -65,7 +65,6 @@ class ExperimentConfig:
     seeds_per_genre: int = 10
     genre_pool: tuple[str, ...] = COMMON_GENRES
     master_seed: int = 0
-    algorithms: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.seed_genre_count <= self.scene_genre_count <= len(self.genre_pool):
@@ -185,14 +184,8 @@ def random_scorer(trial: Trial, rng: np.random.Generator) -> list[str]:
 
 
 def make_wrmf_scorer(model: wrmf.FactorModel, catalog: Catalog) -> RankFn:
-    # the regularized gram of the column factors is user-independent, so
-    # compute it once instead of per fold-in
-    y = model.col_factors
-    gram_reg = y.T @ y + model.config.lam * np.eye(model.config.k)
-
     def score(trial: Trial, rng: np.random.Generator) -> list[str]:
-        user = UserVector.from_ids(catalog, trial.seed_ids)
-        vec = wrmf.solve_row(user.indices, y, gram_reg, model.config.alpha)
+        vec = wrmf.fold_in_user(model, UserVector.from_ids(catalog, trial.seed_ids))
         return [cid for cid, _ in wrmf.rank_candidates(model, vec, trial.candidate_ids, catalog)]
 
     return score
@@ -217,14 +210,10 @@ def _algo_stream(master_seed: int, bin_idx: int, trial_idx: int, algo_idx: int) 
 def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: ExperimentConfig) -> ExperimentReport:
     """Score every algorithm on the identical trial sequence for each
     popularity bin. Trials that cannot be sampled are counted and excluded
-    from n; a bin where nothing is sampleable ends up with n_trials = 0."""
-    if config.algorithms is not None:
-        missing = [name for name in config.algorithms if name not in scorers]
-        if missing:
-            raise ValueError(f"unknown algorithm name(s): {', '.join(missing)}")
-        selected = [(name, scorers[name]) for name in config.algorithms]
-    else:
-        selected = list(scorers.items())
+    from n; a bin where nothing is sampleable ends up with n_trials = 0.
+    Report rows and each scorer's rng stream follow the order of
+    ``scorers``."""
+    selected = list(scorers.items())
     if not selected:
         raise ValueError("no scorers to run")
 

@@ -26,9 +26,6 @@ import numpy as np
 from scenerec.catalog import Catalog, SimilarityGraph, UserVector
 from scenerec.persist import load_model, save_model
 
-EARLY_STOP_PATIENCE = 10
-EARLY_STOP_MIN_DELTA = 1e-6
-
 # each parameter's axes, named by the VaeConfig fields that size them
 PARAM_SHAPES: dict[str, tuple[str, ...]] = {
     "w_enc": ("n_items", "hidden"),
@@ -103,7 +100,6 @@ class VaeModel:
 @dataclass(frozen=True)
 class TrainTrace:
     train_loss: tuple[float, ...]
-    val_loss: tuple[float, ...] = ()
     updates: int = 0
 
 
@@ -127,6 +123,18 @@ def init_model(config: VaeConfig, rng: np.random.Generator, index_hash: str = ""
         config=config,
         index_hash=index_hash,
     )
+
+
+def _encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder hidden layer and latent mean for input rows ``x``."""
+    h_enc = np.tanh(x @ model.w_enc + model.b_enc)
+    return h_enc, h_enc @ model.w_mu + model.b_mu
+
+
+def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decoder hidden layer and output scores for latents ``z``."""
+    h_dec = np.tanh(z @ model.w_dec + model.b_dec)
+    return h_dec, h_dec @ model.w_out + model.b_out
 
 
 def input_dropout(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -154,14 +162,12 @@ def loss_and_gradients(
     beta = cfg.kl_weight
 
     x_drop = input_dropout(batch, cfg.dropout, rng)
-    h_enc = np.tanh(x_drop @ model.w_enc + model.b_enc)
-    mu = h_enc @ model.w_mu + model.b_mu
+    h_enc, mu = _encode(model, x_drop)
     logvar = h_enc @ model.w_logvar + model.b_logvar
     sigma = np.exp(0.5 * logvar)
     eps = rng.standard_normal(mu.shape)
     z = mu + sigma * eps
-    h_dec = np.tanh(z @ model.w_dec + model.b_dec)
-    recon = h_dec @ model.w_out + model.b_out
+    h_dec, recon = _decode(model, z)
 
     resid = recon - batch
     rec_loss = float(np.mean(np.square(resid)))
@@ -235,54 +241,29 @@ def rows_to_dense(graph: SimilarityGraph, indices: Sequence[int]) -> np.ndarray:
     return dense
 
 
-def _deterministic_loss(model: VaeModel, rows: np.ndarray) -> float:
-    """Loss with inference-mode forward (no dropout, latent = mean); used
-    for validation."""
-    h_enc = np.tanh(rows @ model.w_enc + model.b_enc)
-    mu = h_enc @ model.w_mu + model.b_mu
-    logvar = h_enc @ model.w_logvar + model.b_logvar
-    h_dec = np.tanh(mu @ model.w_dec + model.b_dec)
-    recon = h_dec @ model.w_out + model.b_out
-    rec = float(np.mean(np.square(recon - rows)))
-    kl = float(np.mean(-0.5 * np.sum(1.0 + logvar - np.square(mu) - np.exp(logvar), axis=1)))
-    return rec + model.config.kl_weight * kl
-
-
-def train_multvae(
-    graph: SimilarityGraph,
-    config: VaeConfig,
-    *,
-    holdout: Sequence[int] = (),
-    index_hash: str = "",
-) -> tuple[VaeModel, TrainTrace]:
-    """Train on every similarity row not in ``holdout``. Returns the model
-    and a per-epoch loss trace; when a holdout is given, validation loss is
-    tracked and training stops early once it stagnates."""
+def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str = "") -> tuple[VaeModel, TrainTrace]:
+    """Train on every similarity row for ``config.epochs`` epochs of
+    mini-batch Adam, each epoch visiting the rows in a fresh seeded order.
+    Returns the model and its trace: the mean training loss per epoch and
+    the number of Adam updates. Raises TrainingDiverged, naming the epoch,
+    when a batch loss is not finite."""
     if graph.n == 0:
         raise ValueError("cannot train on an empty graph")
     if config.n_items != graph.n:
         raise ValueError(f"config.n_items={config.n_items} but graph has {graph.n} artists")
-    holdout_set = set(int(i) for i in holdout)
-    train_rows = [i for i in range(graph.n) if i not in holdout_set]
-    if not train_rows:
-        raise ValueError("holdout leaves no rows to train on")
 
     rng = np.random.default_rng(config.seed)
     model = init_model(config, rng, index_hash)
     adam_m = {name: np.zeros_like(p) for name, p in model.params().items()}
     adam_v = {name: np.zeros_like(p) for name, p in model.params().items()}
-    val_rows = rows_to_dense(graph, sorted(holdout_set)) if holdout_set else None
 
     train_losses: list[float] = []
-    val_losses: list[float] = []
     updates = 0
-    best_val = np.inf
-    stale = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(train_rows))
+        order = rng.permutation(graph.n)
         epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            chunk = [train_rows[i] for i in order[start : start + config.batch_size]]
+        for start in range(0, graph.n, config.batch_size):
+            chunk = order[start : start + config.batch_size]
             batch = rows_to_dense(graph, chunk)
             # divergence surfaces as a non-finite loss and is raised below;
             # the overflow warnings on the way there are just noise
@@ -304,18 +285,8 @@ def train_multvae(
                     config.adam_eps,
                 )
             epoch_loss += loss * len(chunk)
-        train_losses.append(epoch_loss / len(train_rows))
-        if val_rows is not None:
-            val = _deterministic_loss(model, val_rows)
-            val_losses.append(val)
-            if val < best_val - EARLY_STOP_MIN_DELTA:
-                best_val = val
-                stale = 0
-            else:
-                stale += 1
-                if stale >= EARLY_STOP_PATIENCE:
-                    break
-    return model, TrainTrace(tuple(train_losses), tuple(val_losses), updates)
+        train_losses.append(epoch_loss / graph.n)
+    return model, TrainTrace(tuple(train_losses), updates)
 
 
 def predict(model: VaeModel, user: UserVector) -> np.ndarray:
@@ -323,11 +294,8 @@ def predict(model: VaeModel, user: UserVector) -> np.ndarray:
     dropout disabled, latent fixed at the encoder mean."""
     if user.n != model.config.n_items:
         raise ValueError(f"user vector has dimension {user.n} but model expects {model.config.n_items}")
-    x = user.to_dense()
-    h_enc = np.tanh(x @ model.w_enc + model.b_enc)
-    mu = h_enc @ model.w_mu + model.b_mu
-    h_dec = np.tanh(mu @ model.w_dec + model.b_dec)
-    return h_dec @ model.w_out + model.b_out
+    _, mu = _encode(model, user.to_dense())
+    return _decode(model, mu)[1]
 
 
 def rank_candidates_vae(

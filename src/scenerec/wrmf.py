@@ -33,6 +33,7 @@ against their column factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -78,6 +79,13 @@ class FactorModel:
     @property
     def n(self) -> int:
         return self.row_factors.shape[0]
+
+    @cached_property
+    def gram_reg(self) -> np.ndarray:
+        """Y^T Y + lam I over the column factors Y: the user-independent part
+        of every fold-in system, formed once per model."""
+        y = self.col_factors
+        return y.T @ y + self.config.lam * np.eye(self.config.k)
 
 
 def solve_row(obs: np.ndarray, other: np.ndarray, gram_reg: np.ndarray, alpha: float) -> np.ndarray:
@@ -184,9 +192,7 @@ def fold_in_user(model: FactorModel, user: UserVector) -> np.ndarray:
         raise ValueError("fold-in requires at least one seed artist")
     if user.n != model.n:
         raise ValueError(f"user vector has dimension {user.n} but model has {model.n}")
-    y = model.col_factors
-    gram_reg = y.T @ y + model.config.lam * np.eye(model.config.k)
-    return solve_row(user.indices, y, gram_reg, model.config.alpha)
+    return solve_row(user.indices, model.col_factors, model.gram_reg, model.config.alpha)
 
 
 def rank_candidates(

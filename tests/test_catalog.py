@@ -294,6 +294,10 @@ class TestTypes:
         with pytest.raises(CatalogError):
             Artist(id="a", name="a", popularity=1.5)
 
+    def test_repeated_genre_rejected(self):
+        with pytest.raises(CatalogError, match="artist 'a': genre 'rock' listed twice"):
+            Artist(id="a", name="a", popularity=1, genres=("rock", "jazz", "rock"))
+
     def test_graph_validate_catches_bad_rows(self, six_artists):
         six_artists.graph.validate()
         for bad_row, message in [

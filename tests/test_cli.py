@@ -141,6 +141,40 @@ class TestEvalCommand:
         assert plot.read_text().startswith("algorithm,bin_mid,mean_auc,stderr")
         assert per.read_text().startswith("algorithm,bin_lo,bin_hi,trial,auc")
 
+    def test_unknown_algorithm_fails_in_one_line(self, tmp_path, small_catalog_file, capsys):
+        code = run(["eval", "--catalog", small_catalog_file, "--algorithms", "nope", "--bins", "0-9", "--trials", 1,
+                    "--seed", 1, "--out", tmp_path / "r.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown algorithm name(s): nope\n"
+
+    def test_algorithms_run_in_the_given_order(self, tmp_path, small_catalog_file):
+        out = tmp_path / "r.csv"
+        code = run(["eval", "--catalog", small_catalog_file, "--algorithms", "oracle,random", "--bins", "0-9,10-19",
+                    "--trials", 2, "--seed", 1, "--out", out])
+        assert code == 0
+        with open(out) as fh:
+            assert [r["algorithm"] for r in csv.DictReader(fh)] == ["oracle", "oracle", "random", "random"]
+
+    @pytest.mark.parametrize("bins", ["0-4,", "5", "a-b"])
+    def test_bad_bins_fail_in_one_line(self, tmp_path, small_catalog_file, bins, capsys):
+        code = run(["eval", "--catalog", small_catalog_file, "--algorithms", "oracle", "--bins", bins, "--trials", 1,
+                    "--seed", 1, "--out", tmp_path / "r.csv"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --bins: bad range") and err.count("\n") == 1
+
+    def test_repeated_genre_in_catalog_fails_in_one_line(self, tmp_path, capsys):
+        path = tmp_path / "dup.jsonl"
+        records = [
+            {"id": "a", "name": "a", "popularity": 10, "genres": ["rock", "rock"], "similar": ["b"]},
+            {"id": "b", "name": "b", "popularity": 20, "genres": ["rock"], "similar": []},
+        ]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        code = run(["eval", "--catalog", path, "--algorithms", "oracle", "--trials", 1, "--seed", 1,
+                    "--out", tmp_path / "r.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: artist 'a': genre 'rock' listed twice\n"
+
     def test_hash_mismatch_fails(self, tmp_path, trained_models):
         wrmf_path, _ = trained_models
         other = tmp_path / "other.jsonl"

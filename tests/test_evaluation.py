@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenerec.catalog import top_popular_in_genre
+from scenerec.catalog import UserVector, top_popular_in_genre
 from scenerec.evaluation import (
     DEFAULT_BINS,
     ExperimentConfig,
     TrialSamplingError,
     auc,
+    make_vae_scorer,
+    make_wrmf_scorer,
     oracle_scorer,
     random_scorer,
     run_experiment,
@@ -20,7 +22,9 @@ from scenerec.evaluation import (
     write_report_csv,
     write_trials_csv,
 )
+from scenerec.multvae import VaeConfig, rank_candidates_vae, train_multvae
 from scenerec.synth import SynthConfig, generate_catalog
+from scenerec.wrmf import WrmfConfig, fold_in_user, rank_candidates, train_wrmf
 from tests.conftest import build_catalog
 
 
@@ -223,16 +227,6 @@ class TestRunExperiment:
         assert report.failed_trials_per_bin == (5,)
         assert report.resamples_per_bin[0] > 0
 
-    def test_algorithm_filter(self, synth_catalog):
-        config = ExperimentConfig(bins=((0, 4),), trials_per_bin=3, algorithms=("oracle",), master_seed=0)
-        report = run_experiment(synth_catalog, {"oracle": oracle_scorer, "random": random_scorer}, config)
-        assert {row.algorithm for row in report.rows} == {"oracle"}
-
-    def test_unknown_algorithm_rejected(self, synth_catalog):
-        config = ExperimentConfig(bins=((0, 4),), trials_per_bin=3, algorithms=("nope",))
-        with pytest.raises(ValueError, match="nope"):
-            run_experiment(synth_catalog, {"oracle": oracle_scorer}, config)
-
     def test_non_permutation_scorer_rejected(self, synth_catalog):
         def broken(trial, rng):
             return list(trial.candidate_ids[:-1])
@@ -260,6 +254,34 @@ class TestRunExperiment:
         for row in report.rows:
             assert 0.0 <= row.mean_auc <= 1.0
             assert row.stderr >= 0.0
+
+
+class TestModelScorers:
+    def test_scorers_rank_like_the_model_functions(self):
+        catalog = generate_catalog(SynthConfig(seed=5, artist_count=400, similar_per_artist=6))
+        wrmf_model = train_wrmf(catalog.graph, WrmfConfig(k=8, sweeps=2, seed=1))
+        vae_model, _ = train_multvae(
+            catalog.graph, VaeConfig(n_items=catalog.n, hidden=20, bottleneck=5, epochs=2, seed=1)
+        )
+        score_wrmf = make_wrmf_scorer(wrmf_model, catalog)
+        score_vae = make_vae_scorer(vae_model, catalog)
+        config = ExperimentConfig()
+        checked = 0
+        for b, bin_range in enumerate(((0, 9), (10, 19), (20, 39))):
+            for t in range(4):
+                try:
+                    trial = sample_trial(catalog, config, bin_range, np.random.default_rng([b, t]))
+                except TrialSamplingError:
+                    continue
+                user = UserVector.from_ids(catalog, trial.seed_ids)
+                vec = fold_in_user(wrmf_model, user)
+                expected_wrmf = [cid for cid, _ in rank_candidates(wrmf_model, vec, trial.candidate_ids, catalog)]
+                expected_vae = [cid for cid, _ in rank_candidates_vae(vae_model, user, trial.candidate_ids, catalog)]
+                rng = np.random.default_rng(0)
+                assert list(score_wrmf(trial, rng)) == expected_wrmf
+                assert list(score_vae(trial, rng)) == expected_vae
+                checked += 1
+        assert checked >= 6
 
 
 class TestCsvOutput:

@@ -197,17 +197,6 @@ class TestTraining:
             train_multvae(graph, config)
         assert excinfo.value.epoch == 0
 
-    def test_holdout_tracks_validation_and_stops_early(self):
-        graph = two_cliques_graph()
-        config = VaeConfig(
-            n_items=10, hidden=8, bottleneck=3, dropout=0.0, batch_size=4, epochs=100, learning_rate=0.0, seed=0
-        )
-        _, trace = train_multvae(graph, config, holdout=[0, 5])
-        # zero learning rate never improves validation after the first epoch,
-        # so patience (10) runs out: 1 + 10 epochs then stop
-        assert len(trace.val_loss) == 11
-        assert len(trace.train_loss) == len(trace.val_loss)
-
     def test_deterministic_given_seed(self):
         graph = two_cliques_graph()
         config = VaeConfig(n_items=10, hidden=6, bottleneck=2, batch_size=5, epochs=5, seed=9)
