@@ -292,7 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"the following arguments are required: {', '.join(missing)}")
     try:
         return args.func(args)
-    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError) as exc:
+    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError,
+            multvae.TrainingDiverged, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

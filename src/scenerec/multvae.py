@@ -11,15 +11,23 @@ driven purely by input dropout. Optimization is mini-batch Adam with
 gradients written out by hand (no autograd), which keeps the whole model a
 deterministic function of its seed.
 
+The encoder multiplies only the input columns that are nonzero in some row
+of the batch (a similarity row has ~20 among thousands), and the ``w_enc``
+gradient is zero outside those rows. Adam keeps dense moments and applies
+its elementwise passes in cache-sized blocks. Neither changes the
+arithmetic beyond summation order, and the rng stream is the same as with
+dense products.
+
 Inference never samples and never drops inputs: the latent is the encoder
 mean, so the same user vector always produces the same scores.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +48,10 @@ PARAM_SHAPES: dict[str, tuple[str, ...]] = {
     "b_out": ("n_items",),
 }
 PARAM_NAMES = tuple(PARAM_SHAPES)
+
+# Elements per block of an Adam update: the four arrays of one block, 1 MiB
+# in float64, stay in L2 across the update's twelve elementwise passes.
+ADAM_BLOCK = 1 << 15
 
 
 class TrainingDiverged(RuntimeError):
@@ -72,8 +84,10 @@ class VaeConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.kl_weight < 0:
-            raise ValueError("kl_weight must be >= 0")
+        if not 0.0 <= self.kl_weight < math.inf:
+            raise ValueError("kl_weight must be finite and >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +139,22 @@ def init_model(config: VaeConfig, rng: np.random.Generator, index_hash: str = ""
     )
 
 
-def _encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Encoder hidden layer and latent mean for input rows ``x``."""
-    h_enc = np.tanh(x @ model.w_enc + model.b_enc)
-    return h_enc, h_enc @ model.w_mu + model.b_mu
+def _encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Encoder hidden layer and latent mean for input rows ``x`` (one row or
+    a batch), plus ``used``, the columns nonzero in some row, and
+    ``x[..., used]``; only those columns enter the product."""
+    used = np.flatnonzero(np.atleast_2d(x).any(axis=0))
+    x_used = x[..., used]
+    h_enc = np.tanh(x_used @ model.w_enc[used] + model.b_enc)
+    return h_enc, h_enc @ model.w_mu + model.b_mu, used, x_used
 
 
 def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decoder hidden layer and output scores for latents ``z``."""
     h_dec = np.tanh(z @ model.w_dec + model.b_dec)
-    return h_dec, h_dec @ model.w_out + model.b_out
+    recon = h_dec @ model.w_out
+    recon += model.b_out
+    return h_dec, recon
 
 
 def input_dropout(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -162,19 +182,22 @@ def loss_and_gradients(
     beta = cfg.kl_weight
 
     x_drop = input_dropout(batch, cfg.dropout, rng)
-    h_enc, mu = _encode(model, x_drop)
+    h_enc, mu, used, x_used = _encode(model, x_drop)
     logvar = h_enc @ model.w_logvar + model.b_logvar
     sigma = np.exp(0.5 * logvar)
     eps = rng.standard_normal(mu.shape)
     z = mu + sigma * eps
     h_dec, recon = _decode(model, z)
 
-    resid = recon - batch
+    resid = recon
+    resid -= batch
     rec_loss = float(np.mean(np.square(resid)))
     kl_loss = float(np.mean(-0.5 * np.sum(1.0 + logvar - np.square(mu) - np.exp(logvar), axis=1)))
     loss = rec_loss + beta * kl_loss
 
-    g_out = 2.0 * resid / resid.size
+    g_out = resid
+    g_out *= 2.0
+    g_out /= resid.size
     g_h_dec = g_out @ model.w_out.T
     g_a_dec = g_h_dec * (1.0 - np.square(h_dec))
     g_z = g_a_dec @ model.w_dec.T
@@ -183,8 +206,11 @@ def loss_and_gradients(
     g_h_enc = g_mu @ model.w_mu.T + g_logvar @ model.w_logvar.T
     g_a_enc = g_h_enc * (1.0 - np.square(h_enc))
 
+    # unused columns had zero input, so their w_enc gradient rows are zero
+    g_w_enc = np.zeros_like(model.w_enc)
+    g_w_enc[used] = x_used.T @ g_a_enc
     grads = {
-        "w_enc": x_drop.T @ g_a_enc,
+        "w_enc": g_w_enc,
         "b_enc": g_a_enc.sum(axis=0),
         "w_mu": h_enc.T @ g_mu,
         "b_mu": g_mu.sum(axis=0),
@@ -196,6 +222,21 @@ def loss_and_gradients(
         "b_out": g_out.sum(axis=0),
     }
     return loss, grads
+
+
+def _blocks(shape: tuple[int, ...]) -> Iterator[tuple]:
+    """Index tuples that cut an array of ``shape`` into basic-slice views of
+    at most ADAM_BLOCK elements: runs of whole rows along axis 0, or, when
+    one row is larger, each row cut the same way."""
+    row_size = math.prod(shape[1:])
+    if row_size > ADAM_BLOCK:
+        for i in range(shape[0]):
+            for rest in _blocks(shape[1:]):
+                yield (i, *rest)
+        return
+    rows = ADAM_BLOCK // max(row_size, 1)
+    for start in range(0, shape[0], rows):
+        yield (slice(start, start + rows),)
 
 
 def adam_step(
@@ -216,21 +257,26 @@ def adam_step(
     lr * m_hat / (sqrt(v_hat) + eps) equals step * m / (sqrt(v) + eps_hat)
     with step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
     eps_hat = eps * sqrt(1 - beta2^t). ``grad`` serves as the scratch buffer,
-    so it is overwritten."""
+    so it is overwritten. The elementwise passes run block by block (see
+    ``_blocks``), so each block's arrays stay in cache between passes; every
+    element sees the same operations, so the result does not depend on the
+    blocking."""
     correction2 = np.sqrt(1.0 - beta2**t)
     step = lr * correction2 / (1.0 - beta1**t)
-    m *= beta1
-    v *= beta2
-    grad *= 1.0 - beta1
-    m += grad
-    np.square(grad, out=grad)
-    grad *= (1.0 - beta2) / (1.0 - beta1) ** 2
-    v += grad
-    np.sqrt(v, out=grad)
-    grad += eps * correction2
-    np.divide(m, grad, out=grad)
-    grad *= step
-    param -= grad
+    for block in _blocks(param.shape):
+        p, g, mb, vb = param[block], grad[block], m[block], v[block]
+        mb *= beta1
+        vb *= beta2
+        g *= 1.0 - beta1
+        mb += g
+        np.square(g, out=g)
+        g *= (1.0 - beta2) / (1.0 - beta1) ** 2
+        vb += g
+        np.sqrt(vb, out=g)
+        g += eps * correction2
+        np.divide(mb, g, out=g)
+        g *= step
+        p -= g
     return param, m, v
 
 
@@ -294,7 +340,7 @@ def predict(model: VaeModel, user: UserVector) -> np.ndarray:
     dropout disabled, latent fixed at the encoder mean."""
     if user.n != model.config.n_items:
         raise ValueError(f"user vector has dimension {user.n} but model expects {model.config.n_items}")
-    _, mu = _encode(model, user.to_dense())
+    _, mu, _, _ = _encode(model, user.to_dense())
     return _decode(model, mu)[1]
 
 

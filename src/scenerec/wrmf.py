@@ -32,6 +32,7 @@ against their column factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,8 +59,8 @@ class WrmfConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.lam < 0 or self.alpha < 0:
-            raise ValueError("lam and alpha must be >= 0")
+        if not (0.0 <= self.lam < math.inf and 0.0 <= self.alpha < math.inf):
+            raise ValueError("lam and alpha must be finite and >= 0")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
 
@@ -174,14 +175,17 @@ def train_wrmf(graph: SimilarityGraph, config: WrmfConfig, *, index_hash: str = 
     x = rng.standard_normal((n, config.k)) * scale
     y = rng.standard_normal((n, config.k)) * scale
     transposed = graph.transpose()
-    trace = [_objective_value(x, y, graph, config.lam, config.alpha)]
-    for sweep in range(config.sweeps):
-        half_sweep(graph, x, y, config.lam, config.alpha)
-        trace.append(_objective_value(x, y, graph, config.lam, config.alpha))
-        half_sweep(transposed, y, x, config.lam, config.alpha)
-        trace.append(_objective_value(x, y, graph, config.lam, config.alpha))
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise FloatingPointError(f"non-finite factors after sweep {sweep} (ill-conditioned; raise lam)")
+    # divergence surfaces as non-finite factors and is raised below; the
+    # overflow warnings on the way there are just noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = [_objective_value(x, y, graph, config.lam, config.alpha)]
+        for sweep in range(config.sweeps):
+            half_sweep(graph, x, y, config.lam, config.alpha)
+            trace.append(_objective_value(x, y, graph, config.lam, config.alpha))
+            half_sweep(transposed, y, x, config.lam, config.alpha)
+            trace.append(_objective_value(x, y, graph, config.lam, config.alpha))
+            if not (np.isfinite(x).all() and np.isfinite(y).all()):
+                raise FloatingPointError(f"non-finite factors after sweep {sweep} (ill-conditioned; raise lam)")
     return FactorModel(x, y, config, index_hash, tuple(trace))
 
 

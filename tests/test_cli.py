@@ -83,6 +83,35 @@ class TestTrainCommand:
         assert run(["train", "wrmf", "--catalog", empty, "--seed", 1, "--out", out]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "model, flags, message",
+        [
+            # the diverging config of test_multvae's test_divergence_reports_epoch
+            ("multvae", ["--hidden", 4, "--bottleneck", 2, "--dropout", 0.0, "--batch-size", 1, "--epochs", 5,
+                         "--learning-rate", 1000.0, "--kl-weight", 1.0], "non-finite training loss at epoch 0"),
+            ("wrmf", ["--k", 1, "--alpha", 1e308, "--sweeps", 2], "non-finite factors after sweep 0"),
+        ],
+    )
+    def test_training_divergence_fails_in_one_line(self, tmp_path, capsys, model, flags, message):
+        path = tmp_path / "pairs.jsonl"
+        similar = {"a": ["b"], "b": ["a"], "c": ["d"], "d": ["c"]}
+        records = [{"id": i, "name": i, "popularity": 10, "genres": ["rock"], "similar": s} for i, s in similar.items()]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        out = tmp_path / "model.npz"
+        assert run(["train", model, "--catalog", path, "--seed", 0, *flags, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--learning-rate", -1), ("--kl-weight", "nan"), ("--alpha", "nan")])
+    def test_bad_float_flags_fail_in_one_line(self, tmp_path, small_catalog_file, capsys, flag, value):
+        model = "wrmf" if flag == "--alpha" else "multvae"
+        out = tmp_path / "model.npz"
+        assert run(["train", model, "--catalog", small_catalog_file, "--seed", 0, flag, value, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_prints_training_trace(self, tmp_path, small_catalog_file, capsys):
         run(["train", "wrmf", "--catalog", small_catalog_file, "--seed", 1, "--k", 8, "--sweeps", 2,
              "--out", tmp_path / "m.npz"])

@@ -3,6 +3,7 @@ import pytest
 
 from scenerec.catalog import SimilarityGraph, UserVector
 from scenerec.multvae import (
+    ADAM_BLOCK,
     PARAM_NAMES,
     TrainingDiverged,
     VaeConfig,
@@ -57,6 +58,45 @@ def assert_gradients_match(model, batch, noise_seed, rel_tol=1e-4):
             assert abs(analytic[index] - numeric) / scale < rel_tol, f"{name}{index}"
 
 
+def dense_loss_and_gradients(model, batch, rng):
+    """Reference forward and backward pass with the encoder products over
+    every input column, dense (``x_drop @ w_enc`` and ``x_drop.T @ g``)."""
+    cfg = model.config
+    b, beta = batch.shape[0], cfg.kl_weight
+    x_drop = input_dropout(batch, cfg.dropout, rng)
+    h_enc = np.tanh(x_drop @ model.w_enc + model.b_enc)
+    mu = h_enc @ model.w_mu + model.b_mu
+    logvar = h_enc @ model.w_logvar + model.b_logvar
+    sigma = np.exp(0.5 * logvar)
+    eps = rng.standard_normal(mu.shape)
+    z = mu + sigma * eps
+    h_dec = np.tanh(z @ model.w_dec + model.b_dec)
+    resid = h_dec @ model.w_out + model.b_out - batch
+    kl = np.mean(-0.5 * np.sum(1.0 + logvar - np.square(mu) - np.exp(logvar), axis=1))
+    loss = float(np.mean(np.square(resid))) + beta * float(kl)
+    g_out = 2.0 * resid / resid.size
+    g_h_dec = g_out @ model.w_out.T
+    g_a_dec = g_h_dec * (1.0 - np.square(h_dec))
+    g_z = g_a_dec @ model.w_dec.T
+    g_mu = g_z + (beta / b) * mu
+    g_logvar = g_z * eps * 0.5 * sigma + (beta / b) * 0.5 * (np.exp(logvar) - 1.0)
+    g_h_enc = g_mu @ model.w_mu.T + g_logvar @ model.w_logvar.T
+    g_a_enc = g_h_enc * (1.0 - np.square(h_enc))
+    grads = {
+        "w_enc": x_drop.T @ g_a_enc,
+        "b_enc": g_a_enc.sum(axis=0),
+        "w_mu": h_enc.T @ g_mu,
+        "b_mu": g_mu.sum(axis=0),
+        "w_logvar": h_enc.T @ g_logvar,
+        "b_logvar": g_logvar.sum(axis=0),
+        "w_dec": z.T @ g_a_dec,
+        "b_dec": g_a_dec.sum(axis=0),
+        "w_out": h_dec.T @ g_out,
+        "b_out": g_out.sum(axis=0),
+    }
+    return loss, grads
+
+
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -87,6 +127,22 @@ class TestGradients:
         logvar = h @ base.w_logvar + base.b_logvar
         kl = np.mean(-0.5 * np.sum(1.0 + logvar - mu**2 - np.exp(logvar), axis=1))
         assert loss1 - loss0 == pytest.approx(1.5 * kl, rel=1e-10)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_restricted_encoder_matches_dense_reference(self, dropout):
+        rng = np.random.default_rng(11)
+        model = tiny_model(seed=3, n=12, hidden=7, bottleneck=3, dropout=dropout, kl_weight=0.7)
+        batch = (rng.random((5, 12)) < 0.4).astype(float)
+        batch[2] = 0.0
+        batch[:, 7] = 0.0
+        loss, grads = loss_and_gradients(model, batch, np.random.default_rng(123))
+        ref_loss, ref_grads = dense_loss_and_gradients(model, batch, np.random.default_rng(123))
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        for name in PARAM_NAMES:
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=0, err_msg=name)
+        # the same rng seed replays the dropout mask of the first draw
+        unused = ~input_dropout(batch, dropout, np.random.default_rng(123)).any(axis=0)
+        assert unused[7] and np.all(grads["w_enc"][unused] == 0.0)
 
     def test_empty_batch_rejected(self):
         model = tiny_model()
@@ -158,6 +214,53 @@ class TestAdam:
         np.testing.assert_allclose(v, ref_v, rtol=1e-12, atol=0)
 
 
+def unblocked_adam_step(param, grad, m, v, t, lr, beta1, beta2, eps):
+    """The in-place sequence of ``adam_step``, each pass over whole arrays."""
+    correction2 = np.sqrt(1.0 - beta2**t)
+    step = lr * correction2 / (1.0 - beta1**t)
+    m *= beta1
+    v *= beta2
+    grad *= 1.0 - beta1
+    m += grad
+    np.square(grad, out=grad)
+    grad *= (1.0 - beta2) / (1.0 - beta1) ** 2
+    v += grad
+    np.sqrt(v, out=grad)
+    grad += eps * correction2
+    np.divide(m, grad, out=grad)
+    grad *= step
+    param -= grad
+
+
+class TestAdamBlocks:
+    @pytest.mark.parametrize(
+        "shape, transposed",
+        [
+            ((1000, 100), False),  # several blocks of 327 rows and a ragged last block
+            ((2 * ADAM_BLOCK + 123,), False),  # 1-d, longer than one block
+            ((3, ADAM_BLOCK + 5), False),  # one row is longer than a block
+            ((300, 250), True),  # a transposed view, not contiguous
+        ],
+    )
+    def test_blocked_update_equals_unblocked(self, shape, transposed):
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal(shape), np.zeros(shape), np.zeros(shape)]
+        if transposed:
+            arrays = [a.T for a in arrays]
+            assert not arrays[0].flags.c_contiguous
+        param, m, v = arrays
+        base = param.base
+        ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
+        for t in range(1, 4):
+            grad = rng.standard_normal(param.shape)
+            unblocked_adam_step(ref_p, grad.copy(), ref_m, ref_v, t, 1e-3, 0.9, 0.999, 1e-8)
+            out = adam_step(param, grad, m, v, t, 1e-3, 0.9, 0.999, 1e-8)
+            assert out[0] is param and out[1] is m and out[2] is v
+        assert np.array_equal(param, ref_p) and np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+        if transposed:
+            assert np.array_equal(base.T, ref_p)
+
+
 class TestTraining:
     def test_two_cliques_learn_block_structure(self):
         graph = two_cliques_graph()
@@ -218,6 +321,12 @@ class TestTraining:
             VaeConfig(n_items=5, batch_size=0)
         with pytest.raises(ValueError):
             VaeConfig(n_items=5, kl_weight=-0.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="kl_weight"):
+                VaeConfig(n_items=5, kl_weight=bad)
+        for bad in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                VaeConfig(n_items=5, learning_rate=bad)
 
 
 class TestPredict:
@@ -234,6 +343,15 @@ class TestPredict:
         a = predict(model, user)
         b = predict(model, user)
         assert np.array_equal(a, b)
+
+    def test_restricted_encoder_matches_dense_reference(self):
+        model = tiny_model(seed=6, n=12, hidden=7, bottleneck=3)
+        user = UserVector(np.asarray([0, 4, 9], dtype=np.int64), 12)
+        x = user.to_dense()
+        h_enc = np.tanh(x @ model.w_enc + model.b_enc)
+        mu = h_enc @ model.w_mu + model.b_mu
+        expected = np.tanh(mu @ model.w_dec + model.b_dec) @ model.w_out + model.b_out
+        np.testing.assert_allclose(predict(model, user), expected, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch(self):
         model = tiny_model(n=6)

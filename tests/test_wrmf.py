@@ -180,6 +180,10 @@ class TestTraining:
             WrmfConfig(lam=-0.1)
         with pytest.raises(ValueError):
             WrmfConfig(sweeps=0)
+        for field in ("lam", "alpha"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    WrmfConfig(**{field: bad})
 
 
 class TestFoldIn:
