@@ -17,12 +17,11 @@ from scenerec.catalog import (
     load_catalog,
     popularity_percentiles,
     save_catalog,
-    select_genres_greedy,
     top_popular_in_genre,
 )
 from scenerec.evaluation import ExperimentConfig, ExperimentReport, Trial, auc, run_experiment, sample_trial
 from scenerec.multvae import VaeConfig, VaeModel, train_multvae
-from scenerec.synth import FixtureProvider, InMemoryProvider, SynthConfig, generate_catalog, snowball_crawl
+from scenerec.synth import FixtureProvider, SynthConfig, generate_catalog, snowball_crawl
 from scenerec.wrmf import FactorModel, WrmfConfig, fold_in_user, rank_candidates, train_wrmf
 
 __version__ = "0.1.0"
@@ -35,7 +34,6 @@ __all__ = [
     "ExperimentReport",
     "FactorModel",
     "FixtureProvider",
-    "InMemoryProvider",
     "PercentileReport",
     "SimilarityGraph",
     "SynthConfig",
@@ -54,7 +52,6 @@ __all__ = [
     "run_experiment",
     "sample_trial",
     "save_catalog",
-    "select_genres_greedy",
     "snowball_crawl",
     "top_popular_in_genre",
     "train_multvae",

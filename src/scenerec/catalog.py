@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,7 +167,7 @@ class Catalog:
     id so the index (and everything derived from it) is deterministic.
     ``genre_ranking`` maps each genre tag to a GenreRanking of its members,
     built once on first use; it is the catalog's only genre index and
-    serves ``genres``, ``select_genres_greedy`` and both sampling queries.
+    serves ``genres`` and both sampling queries.
     """
 
     artists: tuple[Artist, ...]
@@ -342,17 +342,12 @@ def nearest_rank(values: Sequence[int], p: int) -> int:
     return ordered[max(rank, 1) - 1]
 
 
-def popularity_percentiles(
-    catalog: Catalog,
-    predicate: Callable[[Artist], bool] | None = None,
-    label: str = "all",
-) -> PercentileReport:
-    """Popularity percentiles of the artists passing ``predicate`` (all
-    artists when None). An empty subset is an error, not a report of zeros."""
-    subset = [a.popularity for a in catalog.artists if predicate is None or predicate(a)]
+def popularity_percentiles(catalog: Catalog, label: str = "all") -> PercentileReport:
+    """Popularity percentiles of the catalog's artists. An empty catalog is
+    an error, not a report of zeros."""
+    subset = sorted(a.popularity for a in catalog.artists)
     if not subset:
         raise CatalogError(f"percentile subset {label!r} is empty")
-    subset.sort()
     return PercentileReport(
         label=label,
         count=len(subset),
@@ -361,31 +356,6 @@ def popularity_percentiles(
         p75=nearest_rank(subset, 75),
         p95=nearest_rank(subset, 95),
     )
-
-
-def select_genres_greedy(catalog: Catalog, n: int) -> list[str]:
-    """Pick up to n genres by repeatedly taking the genre that tags the most
-    not-yet-covered artists, then removing those artists. Ties go to the
-    lexicographically smaller genre; stops early once no genre covers anyone.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    remaining: dict[str, set[int]] = {g: set(r.indices.tolist()) for g, r in catalog.genre_ranking.items()}
-    picked: list[str] = []
-    for _ in range(n):
-        best_genre = ""
-        best_cover: set[int] = set()
-        for genre in sorted(remaining):
-            cover = remaining[genre]
-            if len(cover) > len(best_cover):
-                best_genre, best_cover = genre, cover
-        if not best_cover:
-            break
-        picked.append(best_genre)
-        covered = remaining.pop(best_genre)
-        for cover in remaining.values():
-            cover -= covered
-    return picked
 
 
 def artists_in_range(catalog: Catalog, genre: str, lo: int, hi: int) -> list[str]:

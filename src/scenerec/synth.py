@@ -1,25 +1,22 @@
-"""Similarity providers, snowball crawling, and synthetic catalog generation.
+"""Snowball crawling of a loaded catalog, and synthetic catalog generation.
 
-A provider answers "who is similar to artist X?" the way a music-platform
-API would. The crawler expands breadth-first from a seed set until it hits a
-fetch limit; the generator fabricates a whole catalog with long-tail
-popularity and genre-clustered similar lists, so experiments can run at desk
-scale without any external service.
+The crawler stands in for expanding a music platform's similar-artist API
+from seed artists: it walks a catalog's similarity graph breadth-first from
+a seed set until it hits a fetch limit, and keeps the sub-catalog it reached.
+The generator fabricates a whole catalog with long-tail popularity and
+genre-clustered similar lists, so experiments can run at desk scale without
+any external service.
 """
 
 from __future__ import annotations
 
-import logging
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from scenerec.catalog import COMMON_GENRES, Artist, Catalog, load_catalog
-
-logger = logging.getLogger(__name__)
+from scenerec.catalog import COMMON_GENRES, Artist, Catalog, SimilarityGraph, load_catalog
 
 # Similar-list targets are drawn with weight (1 + popularity) ** BIAS, so
 # popular artists collect far more incoming edges than obscure ones. That
@@ -28,95 +25,54 @@ POPULARITY_BIAS_EXPONENT = 2.0
 
 
 class CrawlError(RuntimeError):
-    """A seed artist could not be fetched from the provider."""
+    """A seed artist is not in the crawled catalog."""
 
 
-@dataclass(frozen=True)
-class ProviderRecord:
-    """What a similarity provider knows about one artist."""
-
-    popularity: int
-    genres: tuple[str, ...]
-    similar: tuple[str, ...]
-    name: str | None = None
-
-
-def _catalog_records(catalog: Catalog) -> dict[str, ProviderRecord]:
-    ids = catalog.ids
-    return {
-        artist.id: ProviderRecord(
-            popularity=artist.popularity,
-            genres=artist.genres,
-            similar=tuple(ids[j] for j in catalog.graph.row(i).tolist()),
-            name=artist.name,
-        )
-        for i, artist in enumerate(catalog.artists)
-    }
-
-
-class InMemoryProvider:
-    """Read-only artist lookup over a fixed record table; repeated queries
-    for the same id return identical records."""
-
-    def __init__(self, records: dict[str, ProviderRecord]):
-        self._records = dict(records)
-
-    def lookup(self, artist_id: str) -> ProviderRecord:
-        """Return the record for ``artist_id``; raise KeyError if unknown."""
-        return self._records[artist_id]
-
-    @classmethod
-    def from_catalog(cls, catalog: Catalog) -> "InMemoryProvider":
-        return cls(_catalog_records(catalog))
-
-
-class FixtureProvider(InMemoryProvider):
-    """Provider backed by a catalog file; the file may reference artists far
-    beyond what any one crawl will fetch."""
+class FixtureProvider(Catalog):
+    """The catalog in a fixture file, ready to crawl. It is a plain loaded
+    catalog; the name stays because perfbench's ``catalog-50k`` workload
+    builds one and times its ``__init__`` as ``synth.fixture``."""
 
     def __init__(self, path: str | Path):
-        super().__init__(_catalog_records(load_catalog(path)))
+        loaded = load_catalog(path)
+        object.__setattr__(self, "artists", loaded.artists)
+        object.__setattr__(self, "graph", loaded.graph)
 
 
-def snowball_crawl(provider: InMemoryProvider, seeds: Sequence[str], limit: int) -> Catalog:
+def snowball_crawl(catalog: Catalog, seeds: Sequence[str], limit: int) -> Catalog:
     """Breadth-first expansion from ``seeds``: fetch each frontier artist,
-    enqueue its similar artists, stop once ``limit`` artists are fetched or
-    the frontier empties.
+    enqueue its not yet seen similar artists in id order, stop once
+    ``limit`` artists are fetched or the frontier empties.
 
-    A failed lookup for a seed is an error; a failed lookup for a discovered
-    artist is logged and skipped. Similar lists in the result are restricted
-    to fetched artists (and never contain the artist itself), so the catalog
-    invariants hold no matter where the crawl stopped.
+    A seed that would be fetched but is not in ``catalog`` is a CrawlError.
+    Similar lists in the result are restricted to fetched artists, so the
+    catalog invariants hold no matter where the crawl stopped.
     """
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    fetched: dict[str, ProviderRecord] = {}
-    seen: set[str] = set()
-    frontier: deque[tuple[str, bool]] = deque()
-    for seed in seeds:
-        if seed not in seen:
-            seen.add(seed)
-            frontier.append((seed, True))
-    while frontier and len(fetched) < limit:
-        artist_id, is_seed = frontier.popleft()
-        try:
-            record = provider.lookup(artist_id)
-        except KeyError:
-            if is_seed:
-                raise CrawlError(f"seed artist {artist_id!r} not found by provider") from None
-            logger.warning("skipping artist %r: provider lookup failed", artist_id)
-            continue
-        fetched[artist_id] = record
-        for ref in record.similar:
-            if ref not in seen:
-                seen.add(ref)
-                frontier.append((ref, False))
-    artists = [
-        Artist(id=aid, name=rec.name if rec.name is not None else aid, popularity=rec.popularity, genres=rec.genres)
-        for aid, rec in fetched.items()
-    ]
-    similar = {aid: [ref for ref in rec.similar if ref in fetched and ref != aid] for aid, rec in fetched.items()}
-    return Catalog.build(artists, similar)
+    # the queue is also the fetch order, so the fetched artists are its
+    # first ``limit`` entries
+    queue_ids = list(dict.fromkeys(seeds))[:limit]
+    missing = [s for s in queue_ids if s not in catalog.index]
+    if missing:
+        raise CrawlError(f"seed artist {missing[0]!r} not in catalog")
+    queue = [catalog.index[s] for s in queue_ids]
+    seen = np.zeros(catalog.n, dtype=bool)
+    seen[queue] = True
+    head = 0
+    while head < len(queue) < limit:
+        row = catalog.graph.row(queue[head])
+        head += 1
+        new = row[~seen[row]]
+        seen[new] = True
+        queue.extend(new.tolist())
+    keep = sorted(queue[:limit])
+    remap = np.full(catalog.n, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    # the remap keeps each row sorted; unfetched targets map to -1
+    rows = [remap[catalog.graph.row(i)] for i in keep]
+    graph = SimilarityGraph.from_rows([row[row >= 0] for row in rows])
+    return Catalog(tuple(catalog.artists[i] for i in keep), graph)
 
 
 @dataclass(frozen=True)
@@ -145,6 +101,8 @@ class SynthConfig:
             raise ValueError("probabilities must lie in [0, 1]")
         if self.similar_per_artist < 1:
             raise ValueError("similar_per_artist must be >= 1")
+        if not np.isfinite(self.popularity_exponent):
+            raise ValueError(f"popularity_exponent must be finite, got {self.popularity_exponent}")
 
 
 def genre_names(count: int) -> tuple[str, ...]:

@@ -46,6 +46,9 @@ from scenerec.persist import load_model, save_model
 # Upper bound on the temporaries of one stacked block of equal-degree rows,
 # in the Woodbury half-sweep and in the objective.
 BLOCK_BYTES = 16 * 2**20
+# Relative rounding slack allowed in the objective's half-sweep decrease;
+# a larger rise means the solves have lost precision.
+OBJECTIVE_RISE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,8 @@ def train_wrmf(graph: SimilarityGraph, config: WrmfConfig, *, index_hash: str = 
     x = rng.standard_normal((n, config.k)) * scale
     y = rng.standard_normal((n, config.k)) * scale
     transposed = graph.transpose()
-    # divergence surfaces as non-finite factors and is raised below; the
-    # overflow warnings on the way there are just noise
+    # divergence surfaces as non-finite factors or a rising objective and is
+    # raised below; the overflow warnings on the way there are just noise
     with np.errstate(over="ignore", invalid="ignore"):
         trace = [_objective_value(x, y, graph, config.lam, config.alpha)]
         for sweep in range(config.sweeps):
@@ -186,6 +189,12 @@ def train_wrmf(graph: SimilarityGraph, config: WrmfConfig, *, index_hash: str = 
             trace.append(_objective_value(x, y, graph, config.lam, config.alpha))
             if not (np.isfinite(x).all() and np.isfinite(y).all()):
                 raise FloatingPointError(f"non-finite factors after sweep {sweep} (ill-conditioned; raise lam)")
+            for before, after in zip(trace[-3:-1], trace[-2:]):
+                if after - before > OBJECTIVE_RISE_TOL * abs(before):
+                    raise FloatingPointError(
+                        f"objective rose from {before:.6g} to {after:.6g} in sweep {sweep} "
+                        "(ill-conditioned; lower alpha or raise lam)"
+                    )
     return FactorModel(x, y, config, index_hash, tuple(trace))
 
 

@@ -17,7 +17,6 @@ from scenerec.catalog import (
     nearest_rank,
     popularity_percentiles,
     save_catalog,
-    select_genres_greedy,
     top_popular_in_genre,
 )
 from tests.conftest import build_catalog
@@ -135,14 +134,9 @@ class TestPercentiles:
         rep = popularity_percentiles(catalog)
         assert (rep.p25, rep.p50, rep.p75, rep.p95) == (0, 0, 0, 100)
 
-    def test_empty_subset_is_error(self, six_artists):
+    def test_empty_subset_is_error(self):
         with pytest.raises(CatalogError, match="empty"):
-            popularity_percentiles(six_artists, predicate=lambda a: False)
-
-    def test_filter_applies(self, six_artists):
-        rep = popularity_percentiles(six_artists, predicate=lambda a: "pop" in a.genres, label="pop")
-        assert rep.count == 2
-        assert rep.p50 == 50
+            popularity_percentiles(build_catalog([]))
 
     def test_report_values_non_decreasing(self, six_artists):
         rep = popularity_percentiles(six_artists)
@@ -155,50 +149,6 @@ class TestPercentiles:
         for p in (25, 50, 75, 95):
             expected = ordered[math.ceil(p * len(ordered) / 100) - 1]
             assert nearest_rank(pops, p) == expected
-
-
-class TestGreedyGenres:
-    def test_hand_enumerated_example(self):
-        catalog = build_catalog(
-            [("1", 1, ["A"]), ("2", 1, ["A"]), ("3", 1, ["A", "B"]), ("4", 1, ["B"]), ("5", 1, ["C"])]
-        )
-        assert select_genres_greedy(catalog, 3) == ["A", "B", "C"]
-
-    def test_zero_request(self, six_artists):
-        assert select_genres_greedy(six_artists, 0) == []
-
-    def test_exhaustion_returns_fewer(self):
-        catalog = build_catalog([("a", 1, ["G"]), ("b", 1, ["G"])])
-        assert select_genres_greedy(catalog, 2) == ["G"]
-
-    def test_tie_broken_lexicographically(self):
-        catalog = build_catalog([("a", 1, ["zz"]), ("b", 1, ["aa"])])
-        assert select_genres_greedy(catalog, 2) == ["aa", "zz"]
-
-    def test_negative_request_rejected(self, six_artists):
-        with pytest.raises(ValueError):
-            select_genres_greedy(six_artists, -1)
-
-    @given(catalogs())
-    @settings(max_examples=60, deadline=None)
-    def test_first_pick_maximizes_coverage(self, catalog):
-        picked = select_genres_greedy(catalog, 1)
-        if not picked:
-            assert not catalog.genre_ranking
-            return
-        best = max(len(r.indices) for r in catalog.genre_ranking.values())
-        assert len(catalog.genre_ranking[picked[0]].indices) == best
-
-    @given(catalogs(), st.integers(0, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_covered_artists_non_decreasing_in_n(self, catalog, n):
-        def covered(genre_list):
-            hit = set()
-            for g in genre_list:
-                hit.update(catalog.genre_ranking[g].indices.tolist())
-            return len(hit)
-
-        assert covered(select_genres_greedy(catalog, n + 1)) >= covered(select_genres_greedy(catalog, n))
 
 
 class TestArtistsInRange:

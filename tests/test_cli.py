@@ -57,6 +57,18 @@ class TestSynthCommand:
     def test_bad_flags_exit_nonzero(self, tmp_path):
         assert run(["synth", "--artists", 3, "--similar-per-artist", 5, "--seed", 1, "--out", tmp_path / "x"]) == 1
 
+    def test_missing_seed_fails_in_one_line(self, tmp_path, small_catalog_file, capsys):
+        out = tmp_path / "crawl.jsonl"
+        code = run(["synth", "--from-fixture", small_catalog_file, "--seeds", "ghost", "--seed", 0, "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ghost" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nan_exponent_fails_in_one_line(self, tmp_path, capsys):
+        assert run(["synth", "--artists", 50, "--exponent", "nan", "--seed", 1, "--out", tmp_path / "x"]) == 1
+        assert capsys.readouterr().err == "error: popularity_exponent must be finite, got nan\n"
+
 
 class TestTrainCommand:
     def test_wrmf_defaults_recorded(self, tmp_path, small_catalog_file):
@@ -90,6 +102,7 @@ class TestTrainCommand:
             ("multvae", ["--hidden", 4, "--bottleneck", 2, "--dropout", 0.0, "--batch-size", 1, "--epochs", 5,
                          "--learning-rate", 1000.0, "--kl-weight", 1.0], "non-finite training loss at epoch 0"),
             ("wrmf", ["--k", 1, "--alpha", 1e308, "--sweeps", 2], "non-finite factors after sweep 0"),
+            ("wrmf", ["--k", 2, "--alpha", 1e308, "--sweeps", 2], "objective rose"),
         ],
     )
     def test_training_divergence_fails_in_one_line(self, tmp_path, capsys, model, flags, message):

@@ -1,95 +1,125 @@
-import logging
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenerec.catalog import COMMON_GENRES, popularity_percentiles, save_catalog
+from scenerec.catalog import COMMON_GENRES, Catalog, popularity_percentiles, save_catalog
 from scenerec.synth import (
     CrawlError,
     FixtureProvider,
-    InMemoryProvider,
-    ProviderRecord,
     SynthConfig,
     generate_catalog,
     genre_names,
     snowball_crawl,
 )
+from tests.conftest import build_catalog
+from tests.test_catalog import catalogs
 
 
-def chain_provider():
-    return InMemoryProvider(
-        {
-            "a": ProviderRecord(10, ("rock",), ("b",)),
-            "b": ProviderRecord(20, ("rock",), ("c",)),
-            "c": ProviderRecord(30, ("jazz",), ()),
-        }
+def chain_catalog():
+    return build_catalog(
+        [("a", 10, ["rock"]), ("b", 20, ["rock"]), ("c", 30, ["jazz"])],
+        similar={"a": ["b"], "b": ["c"]},
     )
+
+
+def reference_crawl(catalog, seeds, limit):
+    """The string-keyed breadth-first crawl: look each frontier id up, fetch
+    it, enqueue its unseen similar ids in listed order; a seed the catalog
+    lacks is an error once it reaches the front of the queue."""
+    by_id = dict(zip(catalog.ids, catalog.artists))
+    similar = {aid: [catalog.ids[j] for j in catalog.graph.row(i).tolist()] for i, aid in enumerate(catalog.ids)}
+    fetched: dict[str, list[str]] = {}
+    seen: set[str] = set()
+    frontier: deque[str] = deque()
+    for seed in seeds:
+        if seed not in seen:
+            seen.add(seed)
+            frontier.append(seed)
+    while frontier and len(fetched) < limit:
+        artist_id = frontier.popleft()
+        if artist_id not in by_id:
+            raise CrawlError(artist_id)
+        fetched[artist_id] = similar[artist_id]
+        for ref in similar[artist_id]:
+            if ref not in seen:
+                seen.add(ref)
+                frontier.append(ref)
+    kept = {aid: [ref for ref in refs if ref in fetched] for aid, refs in fetched.items()}
+    return Catalog.build([by_id[aid] for aid in fetched], kept)
 
 
 class TestSnowballCrawl:
     def test_chain_fully_fetched(self):
-        catalog = snowball_crawl(chain_provider(), ["a"], 3)
+        catalog = snowball_crawl(chain_catalog(), ["a"], 3)
         assert catalog.ids == ("a", "b", "c")
         a, b, c = (catalog.index[x] for x in "abc")
         assert list(catalog.graph.row(a)) == [b]
         assert list(catalog.graph.row(b)) == [c]
 
     def test_no_seeds_empty_catalog(self):
-        assert snowball_crawl(chain_provider(), [], 10).n == 0
+        assert snowball_crawl(chain_catalog(), [], 10).n == 0
 
     def test_limit_prunes_unfetched_references(self):
-        catalog = snowball_crawl(chain_provider(), ["a"], 2)
+        catalog = snowball_crawl(chain_catalog(), ["a"], 2)
         assert catalog.ids == ("a", "b")
         # b's reference to c is dropped because c was never fetched
         assert list(catalog.graph.row(catalog.index["b"])) == []
 
     def test_zero_limit(self):
-        assert snowball_crawl(chain_provider(), ["a"], 0).n == 0
+        assert snowball_crawl(chain_catalog(), ["a"], 0).n == 0
 
     def test_missing_seed_is_error(self):
         with pytest.raises(CrawlError, match="ghost"):
-            snowball_crawl(chain_provider(), ["ghost"], 5)
-
-    def test_missing_discovered_artist_skipped_with_warning(self, caplog):
-        provider = InMemoryProvider({"a": ProviderRecord(10, (), ("gone", "b")), "b": ProviderRecord(5, (), ())})
-        with caplog.at_level(logging.WARNING, logger="scenerec.synth"):
-            catalog = snowball_crawl(provider, ["a"], 10)
-        assert catalog.ids == ("a", "b")
-        assert any("gone" in rec.message for rec in caplog.records)
-
-    def test_self_reference_dropped(self):
-        provider = InMemoryProvider({"a": ProviderRecord(10, (), ("a", "b")), "b": ProviderRecord(5, (), ())})
-        catalog = snowball_crawl(provider, ["a"], 10)
-        assert list(catalog.graph.row(catalog.index["a"])) == [catalog.index["b"]]
+            snowball_crawl(chain_catalog(), ["ghost"], 5)
 
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
-            snowball_crawl(chain_provider(), ["a"], -1)
+            snowball_crawl(chain_catalog(), ["a"], -1)
 
     def test_result_never_exceeds_limit(self):
         catalog = generate_catalog(SynthConfig(seed=3, artist_count=40, similar_per_artist=4))
-        provider = InMemoryProvider.from_catalog(catalog)
-        crawled = snowball_crawl(provider, [catalog.ids[0]], 15)
+        crawled = snowball_crawl(catalog, [catalog.ids[0]], 15)
         assert crawled.n <= 15
 
     @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_limit(self, lim_a, lim_b, seed):
         catalog = generate_catalog(SynthConfig(seed=seed % 7, artist_count=30, similar_per_artist=3))
-        provider = InMemoryProvider.from_catalog(catalog)
         seeds = [catalog.ids[seed % catalog.n]]
         lo, hi = sorted((lim_a, lim_b))
-        small = snowball_crawl(provider, seeds, lo)
-        big = snowball_crawl(provider, seeds, hi)
+        small = snowball_crawl(catalog, seeds, lo)
+        big = snowball_crawl(catalog, seeds, hi)
         assert set(small.ids) <= set(big.ids)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_string_keyed_crawl(self, tmp_path_factory, data):
+        catalog = data.draw(catalogs())
+        # "0ghost" cannot be a catalog id, so it is a missing seed
+        seeds = data.draw(st.lists(st.sampled_from([*catalog.ids, "0ghost"]), max_size=5))
+        limit = data.draw(st.integers(0, catalog.n + 1))
+        try:
+            expected = reference_crawl(catalog, seeds, limit)
+        except CrawlError:
+            with pytest.raises(CrawlError, match="0ghost"):
+                snowball_crawl(catalog, seeds, limit)
+            return
+        crawled = snowball_crawl(catalog, seeds, limit)
+        assert crawled == expected
+        root = tmp_path_factory.mktemp("crawl")
+        save_catalog(crawled, root / "crawled.jsonl")
+        save_catalog(expected, root / "expected.jsonl")
+        assert (root / "crawled.jsonl").read_bytes() == (root / "expected.jsonl").read_bytes()
 
     def test_fixture_provider_round_trip(self, tmp_path):
         catalog = generate_catalog(SynthConfig(seed=11, artist_count=30, similar_per_artist=3))
         path = tmp_path / "fixture.jsonl"
         save_catalog(catalog, path)
         provider = FixtureProvider(path)
+        assert provider == catalog
         crawled = snowball_crawl(provider, list(catalog.ids), catalog.n)
         assert crawled == catalog
 
@@ -159,15 +189,12 @@ class TestGenerateCatalog:
             SynthConfig(seed=1, similar_per_artist=0)
         with pytest.raises(ValueError):
             SynthConfig(seed=1, artist_count=-1)
+        for exponent in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="popularity_exponent"):
+                SynthConfig(seed=1, popularity_exponent=exponent)
 
     def test_genre_names_extend_past_common_pool(self):
         names = genre_names(23)
         assert names[:20] == COMMON_GENRES
         assert names[20:] == ("genre-21", "genre-22", "genre-23")
         assert genre_names(4) == ("rock", "jazz", "punk", "reggae")
-
-
-class TestProviderPurity:
-    def test_repeated_lookup_identical(self):
-        provider = chain_provider()
-        assert provider.lookup("a") == provider.lookup("a")

@@ -141,6 +141,13 @@ class TestTraining:
         for a, b in zip(trace, trace[1:]):
             assert b <= a + 1e-9 * abs(a)
 
+    def test_rising_objective_is_an_error(self):
+        # alpha = 1e308 overflows the solves while the factors stay finite;
+        # the objective then rises from one half-sweep to the next
+        graph = graph_from_lists([[1], [0], [3], [2]])
+        with pytest.raises(FloatingPointError, match="objective rose .* in sweep 0"):
+            train_wrmf(graph, WrmfConfig(k=2, alpha=1e308, sweeps=3))
+
     def test_row_update_is_stationary_point(self):
         rng = np.random.default_rng(21)
         graph = random_graph(rng, 20, 0.2)
