@@ -55,8 +55,11 @@ def _parse_id_list(text: str) -> tuple[str, ...]:
 def cmd_synth(args: argparse.Namespace) -> int:
     out = resolve_path(args.out)
     if args.from_fixture:
+        seeds = _parse_id_list(args.seeds or "")
+        if not seeds:
+            raise ValueError("--from-fixture needs --seeds: the crawl has nothing to start from")
         provider = synth.FixtureProvider(resolve_path(args.from_fixture))
-        catalog = synth.snowball_crawl(provider, _parse_id_list(args.seeds or ""), args.limit)
+        catalog = synth.snowball_crawl(provider, seeds, args.limit)
         label = "crawled"
     else:
         config = synth.SynthConfig(
@@ -122,6 +125,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         name, _, path = spec_item.partition("=")
         if not path:
             raise ValueError(f"--model must look like name=path, got {spec_item!r}")
+        if name in scorers:
+            raise ValueError(f"--model {name} given more than once")
         model_path = resolve_path(path)
         if name == "wrmf":
             scorers[name] = evaluation.make_wrmf_scorer(wrmf.load_factor_model(model_path, expected_hash), catalog)
@@ -139,6 +144,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     missing = [name for name in algorithms if name not in scorers]
     if missing:
         raise ValueError(f"unknown algorithm name(s): {', '.join(missing)}")
+    repeated = [name for name in dict.fromkeys(algorithms) if algorithms.count(name) > 1]
+    if repeated:
+        raise ValueError(f"repeated algorithm name(s): {', '.join(repeated)}")
     report = evaluation.run_experiment(catalog, {name: scorers[name] for name in algorithms}, config)
     out = resolve_path(args.out)
     evaluation.write_report_csv(report, out)

@@ -5,8 +5,9 @@ from a 20-genre pool, candidates are obscure-to-popular artists of those
 genres inside a fixed popularity range, and the listener's seeds are
 mainstream artists from 2 of the scene genres. A candidate is relevant when
 it carries at least one of the listener's seed genres. Every algorithm
-ranks the same trial (paired design), and per-bin AUC means with standard
-errors land in a CSV report.
+scores the same trial (paired design); ``run_experiment`` ranks each
+algorithm's scores in one place, descending with ties to the smaller id,
+and per-bin AUC means with standard errors land in a CSV report.
 
 Per-trial randomness comes from a stream derived from (master seed, bin
 index, trial index), so a trial's draw does not depend on the trials run
@@ -34,9 +35,10 @@ TOP_POPULAR_POOL = 100
 MAX_TRIAL_RESAMPLES = 25
 REPORT_COLUMNS = ("algorithm", "bin_lo", "bin_hi", "n_trials", "mean_auc", "stderr")
 
-# A scorer maps a trial (and a private rng stream) to the candidate ids in
-# ranked order, best first. Model-backed scorers must not read the labels.
-RankFn = Callable[["Trial", np.random.Generator], Sequence[str]]
+# A scorer maps a trial (and a private rng stream) to one finite score per
+# candidate, in ``trial.candidate_ids`` order; ``run_experiment`` ranks them,
+# ties to the smaller id. Model-backed scorers must not read the labels.
+RankFn = Callable[["Trial", np.random.Generator], np.ndarray]
 
 
 class TrialSamplingError(RuntimeError):
@@ -154,8 +156,8 @@ def sample_trial(
 def auc(ranked_labels: Sequence[bool | int]) -> float:
     """AUC of a ranking given its relevance labels in ranked order: the
     fraction of (relevant, non-relevant) pairs where the relevant item comes
-    first. Ties were already resolved upstream by the deterministic ranking,
-    so the permutation is taken as final."""
+    first. ``run_experiment`` has already broken score ties by id, so the
+    order is taken as final."""
     n_rel = sum(1 for v in ranked_labels if v)
     n_non = len(ranked_labels) - n_rel
     if n_rel == 0 or n_non == 0:
@@ -170,31 +172,28 @@ def auc(ranked_labels: Sequence[bool | int]) -> float:
     return correct / (n_rel * n_non)
 
 
-def oracle_scorer(trial: Trial, rng: np.random.Generator) -> list[str]:
+def oracle_scorer(trial: Trial, rng: np.random.Generator) -> np.ndarray:
     """Reads the labels: relevant candidates first. Upper-bound reference."""
-    relevant = sorted(cid for cid, lab in zip(trial.candidate_ids, trial.labels) if lab)
-    other = sorted(cid for cid, lab in zip(trial.candidate_ids, trial.labels) if not lab)
-    return relevant + other
+    return np.asarray(trial.labels, dtype=float)
 
 
-def random_scorer(trial: Trial, rng: np.random.Generator) -> list[str]:
+def random_scorer(trial: Trial, rng: np.random.Generator) -> np.ndarray:
     """Uniform shuffle; its expected AUC of 0.5 calibrates the harness."""
-    order = rng.permutation(len(trial.candidate_ids))
-    return [trial.candidate_ids[i] for i in order]
+    return -np.argsort(rng.permutation(len(trial.candidate_ids)))
 
 
 def make_wrmf_scorer(model: wrmf.FactorModel, catalog: Catalog) -> RankFn:
-    def score(trial: Trial, rng: np.random.Generator) -> list[str]:
+    def score(trial: Trial, rng: np.random.Generator) -> np.ndarray:
         vec = wrmf.fold_in_user(model, UserVector.from_ids(catalog, trial.seed_ids))
-        return [cid for cid, _ in wrmf.rank_candidates(model, vec, trial.candidate_ids, catalog)]
+        return wrmf.rank_candidates(model, vec, [catalog.index[cid] for cid in trial.candidate_ids])
 
     return score
 
 
 def make_vae_scorer(model: multvae.VaeModel, catalog: Catalog) -> RankFn:
-    def score(trial: Trial, rng: np.random.Generator) -> list[str]:
+    def score(trial: Trial, rng: np.random.Generator) -> np.ndarray:
         user = UserVector.from_ids(catalog, trial.seed_ids)
-        return [cid for cid, _ in multvae.rank_candidates_vae(model, user, trial.candidate_ids, catalog)]
+        return multvae.rank_candidates_vae(model, user, [catalog.index[cid] for cid in trial.candidate_ids])
 
     return score
 
@@ -211,8 +210,9 @@ def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: Expe
     """Score every algorithm on the identical trial sequence for each
     popularity bin. Trials that cannot be sampled are counted and excluded
     from n; a bin where nothing is sampleable ends up with n_trials = 0.
-    Report rows and each scorer's rng stream follow the order of
-    ``scorers``."""
+    Each scorer's scores are ranked descending, ties to the smaller
+    candidate id, before the AUC is taken. Report rows and each scorer's
+    rng stream follow the order of ``scorers``."""
     selected = list(scorers.items())
     if not selected:
         raise ValueError("no scorers to run")
@@ -234,12 +234,12 @@ def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: Expe
             else:
                 failed[b] += 1
                 continue
-            label = dict(zip(trial.candidate_ids, trial.labels))
-            for algo_idx, (name, rank) in enumerate(selected):
-                ranked = list(rank(trial, _algo_stream(config.master_seed, b, t, algo_idx)))
-                if sorted(ranked) != sorted(trial.candidate_ids):
-                    raise ValueError(f"scorer {name!r} returned a non-permutation of the candidates")
-                per_bin_aucs[(name, b)].append((t, auc([label[cid] for cid in ranked])))
+            for algo_idx, (name, score) in enumerate(selected):
+                scores = np.asarray(score(trial, _algo_stream(config.master_seed, b, t, algo_idx)), dtype=float)
+                if scores.shape != (len(trial.candidate_ids),) or not np.isfinite(scores).all():
+                    raise ValueError(f"scorer {name!r} must return one finite score per candidate")
+                ranked = sorted(zip((-scores).tolist(), trial.candidate_ids, trial.labels))
+                per_bin_aucs[(name, b)].append((t, auc([label for _, _, label in ranked])))
 
     rows: list[BinResult] = []
     for name, _ in selected:

@@ -19,7 +19,8 @@ arithmetic beyond summation order, and the rng stream is the same as with
 dense products.
 
 Inference never samples and never drops inputs: the latent is the encoder
-mean, so the same user vector always produces the same scores.
+mean, so the same user vector always produces the same scores;
+``evaluation.run_experiment`` ranks them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from scenerec.catalog import Catalog, SimilarityGraph, UserVector
+from scenerec.catalog import SimilarityGraph, UserVector
 from scenerec.persist import load_model, save_model
 
 # each parameter's axes, named by the VaeConfig fields that size them
@@ -344,21 +345,10 @@ def predict(model: VaeModel, user: UserVector) -> np.ndarray:
     return _decode(model, mu)[1]
 
 
-def rank_candidates_vae(
-    model: VaeModel, user: UserVector, candidates: Sequence[str], catalog: Catalog
-) -> list[tuple[str, float]]:
-    """Rank candidate ids by their predicted scores, descending; ties break
-    by ascending id."""
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    scores = predict(model, user)
-    scored = []
-    for cid in candidates:
-        if cid not in catalog.index:
-            raise ValueError(f"unknown candidate id {cid!r}")
-        scored.append((cid, float(scores[catalog.index[cid]])))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+def rank_candidates_vae(model: VaeModel, user: UserVector, candidates: Sequence[int]) -> np.ndarray:
+    """``predict`` scores of the candidate artist indices, in candidate order.
+    It does not sort; the name is kept for the tracer's ``multvae.rank`` span."""
+    return predict(model, user)[candidates]
 
 
 def save_vae_model(model: VaeModel, path: str | Path) -> None:

@@ -26,8 +26,8 @@ r >= k, where it is the smaller system, and for the whole half-sweep when
 lam = 0, where G may be singular. Both paths are exact to rounding.
 
 A user is a sparse indicator vector over artists; ``fold_in_user`` embeds it
-with the direct closed form, and candidates are ranked by dot product
-against their column factors.
+with the direct closed form, and candidates are scored by dot product
+against their column factors; ``evaluation.run_experiment`` ranks the scores.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from scenerec.catalog import Catalog, SimilarityGraph, UserVector
+from scenerec.catalog import SimilarityGraph, UserVector
 from scenerec.persist import load_model, save_model
 
 # Upper bound on the temporaries of one stacked block of equal-degree rows,
@@ -208,20 +208,11 @@ def fold_in_user(model: FactorModel, user: UserVector) -> np.ndarray:
     return solve_row(user.indices, model.col_factors, model.gram_reg, model.config.alpha)
 
 
-def rank_candidates(
-    model: FactorModel, user_vec: np.ndarray, candidates: Sequence[str], catalog: Catalog
-) -> list[tuple[str, float]]:
-    """Score candidates by dot product with the user embedding; return
-    (id, score) pairs sorted by descending score, ties by ascending id."""
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
-    scored = []
-    for cid in candidates:
-        if cid not in catalog.index:
-            raise ValueError(f"unknown candidate id {cid!r}")
-        scored.append((cid, float(model.col_factors[catalog.index[cid]] @ user_vec)))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+def rank_candidates(model: FactorModel, user_vec: np.ndarray, candidates: Sequence[int]) -> np.ndarray:
+    """Dot products of the candidates' column factors (artist indices) with
+    the user embedding, in candidate order. It does not sort; the name is
+    kept for the benchmark tracer's ``wrmf.rank`` span."""
+    return model.col_factors[candidates] @ user_vec
 
 
 def save_factor_model(model: FactorModel, path: str | Path) -> None:

@@ -65,6 +65,16 @@ class TestSynthCommand:
         assert err.startswith("error: ") and "ghost" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", [None, ","])
+    def test_crawl_without_seeds_fails_in_one_line(self, tmp_path, small_catalog_file, seeds, capsys):
+        out = tmp_path / "crawl.jsonl"
+        argv = ["synth", "--from-fixture", small_catalog_file, "--seed", 0, "--out", out]
+        code = run(argv + (["--seeds", seeds] if seeds else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --from-fixture needs --seeds") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_nan_exponent_fails_in_one_line(self, tmp_path, capsys):
         assert run(["synth", "--artists", 50, "--exponent", "nan", "--seed", 1, "--out", tmp_path / "x"]) == 1
         assert capsys.readouterr().err == "error: popularity_exponent must be finite, got nan\n"
@@ -188,6 +198,21 @@ class TestEvalCommand:
                     "--seed", 1, "--out", tmp_path / "r.csv"])
         assert code == 1
         assert capsys.readouterr().err == "error: unknown algorithm name(s): nope\n"
+
+    def test_repeated_algorithm_fails_in_one_line(self, tmp_path, small_catalog_file, capsys):
+        code = run(["eval", "--catalog", small_catalog_file, "--algorithms", "oracle,random,oracle", "--bins", "0-9",
+                    "--trials", 1, "--seed", 1, "--out", tmp_path / "r.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: repeated algorithm name(s): oracle\n"
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_repeated_model_fails_in_one_line(self, tmp_path, small_catalog_file, trained_models, capsys):
+        wrmf_path, _ = trained_models
+        code = run(["eval", "--catalog", small_catalog_file, "--model", f"wrmf={wrmf_path}", "--model",
+                    f"wrmf={wrmf_path}", "--bins", "0-9", "--trials", 1, "--seed", 1, "--out", tmp_path / "r.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: --model wrmf given more than once\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_algorithms_run_in_the_given_order(self, tmp_path, small_catalog_file):
         out = tmp_path / "r.csv"

@@ -22,9 +22,9 @@ from scenerec.evaluation import (
     write_report_csv,
     write_trials_csv,
 )
-from scenerec.multvae import VaeConfig, rank_candidates_vae, train_multvae
+from scenerec.multvae import VaeConfig, predict, train_multvae
 from scenerec.synth import SynthConfig, generate_catalog
-from scenerec.wrmf import WrmfConfig, fold_in_user, rank_candidates, train_wrmf
+from scenerec.wrmf import WrmfConfig, fold_in_user, train_wrmf
 from tests.conftest import build_catalog
 
 
@@ -227,13 +227,36 @@ class TestRunExperiment:
         assert report.failed_trials_per_bin == (5,)
         assert report.resamples_per_bin[0] > 0
 
-    def test_non_permutation_scorer_rejected(self, synth_catalog):
+    @pytest.mark.parametrize(
+        "bad_scores",
+        [
+            pytest.param(lambda n: np.zeros(n - 1), id="too short"),
+            pytest.param(lambda n: np.zeros(n + 1), id="too long"),
+            pytest.param(lambda n: np.zeros((n, 1)), id="column"),
+            pytest.param(lambda n: np.r_[np.zeros(n - 1), np.nan], id="nan"),
+            pytest.param(lambda n: np.r_[np.inf, np.zeros(n - 1)], id="inf"),
+        ],
+    )
+    def test_bad_scores_rejected(self, synth_catalog, bad_scores):
         def broken(trial, rng):
-            return list(trial.candidate_ids[:-1])
+            return bad_scores(len(trial.candidate_ids))
 
         config = ExperimentConfig(bins=((0, 4),), trials_per_bin=1, master_seed=0)
-        with pytest.raises(ValueError, match="permutation"):
-            run_experiment(synth_catalog, {"broken": broken}, config)
+        with pytest.raises(ValueError, match="scorer 'broken' must return one finite score per candidate"):
+            run_experiment(synth_catalog, {"oracle": oracle_scorer, "broken": broken}, config)
+
+    def test_equal_scores_tie_break_by_id(self, synth_catalog):
+        trials = []
+
+        def constant(trial, rng):
+            trials.append(trial)
+            return np.full(len(trial.candidate_ids), 0.25)
+
+        config = ExperimentConfig(bins=((0, 4), (20, 24)), trials_per_bin=6, master_seed=2)
+        report = run_experiment(synth_catalog, {"constant": constant}, config)
+        got = [v for row in report.rows for _, v in row.trial_aucs]
+        expected = [auc([lab for _, lab in sorted(zip(t.candidate_ids, t.labels))]) for t in trials]
+        assert len(got) == 12 and got == expected
 
     def test_sampled_trials_are_pinned(self, tmp_path):
         # Digest of the per-trial CSV recorded before the genre queries were
@@ -256,6 +279,13 @@ class TestRunExperiment:
             assert row.stderr >= 0.0
 
 
+def reference_auc(scores_by_id):
+    """The ranking rule written per candidate: sort (id, score, label)
+    triples by descending score, ties by ascending id."""
+    ranked = sorted(scores_by_id, key=lambda c: (-c[1], c[0]))
+    return auc([label for _, _, label in ranked])
+
+
 class TestModelScorers:
     def test_scorers_rank_like_the_model_functions(self):
         catalog = generate_catalog(SynthConfig(seed=5, artist_count=400, similar_per_artist=6))
@@ -263,25 +293,33 @@ class TestModelScorers:
         vae_model, _ = train_multvae(
             catalog.graph, VaeConfig(n_items=catalog.n, hidden=20, bottleneck=5, epochs=2, seed=1)
         )
-        score_wrmf = make_wrmf_scorer(wrmf_model, catalog)
-        score_vae = make_vae_scorer(vae_model, catalog)
-        config = ExperimentConfig()
-        checked = 0
-        for b, bin_range in enumerate(((0, 9), (10, 19), (20, 39))):
-            for t in range(4):
-                try:
-                    trial = sample_trial(catalog, config, bin_range, np.random.default_rng([b, t]))
-                except TrialSamplingError:
-                    continue
-                user = UserVector.from_ids(catalog, trial.seed_ids)
-                vec = fold_in_user(wrmf_model, user)
-                expected_wrmf = [cid for cid, _ in rank_candidates(wrmf_model, vec, trial.candidate_ids, catalog)]
-                expected_vae = [cid for cid, _ in rank_candidates_vae(vae_model, user, trial.candidate_ids, catalog)]
-                rng = np.random.default_rng(0)
-                assert list(score_wrmf(trial, rng)) == expected_wrmf
-                assert list(score_vae(trial, rng)) == expected_vae
-                checked += 1
-        assert checked >= 6
+        trials = []
+
+        def recorder(trial, rng):
+            trials.append(trial)
+            return oracle_scorer(trial, rng)
+
+        scorers = {
+            "trial": recorder,
+            "wrmf": make_wrmf_scorer(wrmf_model, catalog),
+            "multvae": make_vae_scorer(vae_model, catalog),
+        }
+        config = ExperimentConfig(bins=((0, 9), (10, 19), (20, 39)), trials_per_bin=4, master_seed=1)
+        report = run_experiment(catalog, scorers, config)
+        expected = {"wrmf": [], "multvae": []}
+        for trial in trials:
+            user = UserVector.from_ids(catalog, trial.seed_ids)
+            vec = fold_in_user(wrmf_model, user)
+            predicted = predict(vae_model, user)
+            wrmf_scores, vae_scores = [], []
+            for cid, label in zip(trial.candidate_ids, trial.labels):
+                wrmf_scores.append((cid, float(wrmf_model.col_factors[catalog.index[cid]] @ vec), label))
+                vae_scores.append((cid, float(predicted[catalog.index[cid]]), label))
+            expected["wrmf"].append(reference_auc(wrmf_scores))
+            expected["multvae"].append(reference_auc(vae_scores))
+        assert len(trials) >= 6
+        for name, values in expected.items():
+            assert [v for row in report.rows if row.algorithm == name for _, v in row.trial_aucs] == values
 
 
 class TestCsvOutput:

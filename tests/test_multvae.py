@@ -19,7 +19,6 @@ from scenerec.multvae import (
     train_multvae,
 )
 from scenerec.persist import ModelMismatchError
-from tests.conftest import build_catalog
 
 
 def graph_from_lists(rows):
@@ -371,34 +370,26 @@ class TestPredict:
 class TestRanking:
     @pytest.fixture
     def setup(self):
-        catalog = build_catalog([(f"a{i}", 10, ["g"]) for i in range(6)])
         model = tiny_model(seed=4, n=6)
         user = UserVector(np.asarray([0], dtype=np.int64), 6)
-        return catalog, model, user
+        return model, user
 
     def test_input_order_is_irrelevant(self, setup):
-        catalog, model, user = setup
-        first = rank_candidates_vae(model, user, ["a1", "a4", "a2"], catalog)
-        second = rank_candidates_vae(model, user, ["a2", "a1", "a4"], catalog)
-        assert first == second
+        model, user = setup
+        first = rank_candidates_vae(model, user, [1, 4, 2])
+        second = rank_candidates_vae(model, user, [2, 1, 4])
+        np.testing.assert_array_equal(second, first[[2, 0, 1]])
 
     def test_singleton(self, setup):
-        catalog, model, user = setup
-        ranked = rank_candidates_vae(model, user, ["a3"], catalog)
-        assert [cid for cid, _ in ranked] == ["a3"]
+        model, user = setup
+        scores = rank_candidates_vae(model, user, [3])
+        assert scores.shape == (1,) and scores[0] == predict(model, user)[3]
 
     def test_matches_brute_force_sort_of_predict(self, setup):
-        catalog, model, user = setup
-        candidates = ["a5", "a0", "a3", "a1"]
-        ranked = rank_candidates_vae(model, user, candidates, catalog)
+        model, user = setup
+        candidates = [5, 0, 3, 1]
         scores = predict(model, user)
-        expected = sorted(((c, float(scores[catalog.index[c]])) for c in candidates), key=lambda p: (-p[1], p[0]))
-        assert ranked == expected
-
-    def test_unknown_candidate_rejected(self, setup):
-        catalog, model, user = setup
-        with pytest.raises(ValueError, match="ghost"):
-            rank_candidates_vae(model, user, ["ghost"], catalog)
+        np.testing.assert_array_equal(rank_candidates_vae(model, user, candidates), [scores[c] for c in candidates])
 
 
 class TestSerialization:
