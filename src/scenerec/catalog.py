@@ -10,7 +10,11 @@ popularity (most popular first, ties to the smaller index); trial sampling's
 two queries read it with array operations: ``top_popular_in_genre`` takes a
 prefix, ``artists_in_range`` a ``searchsorted`` slice put back in id order.
 On disk a catalog is JSON Lines, one artist per line with fields ``id``,
-``name``, ``popularity``, ``genres``, ``similar``.
+``name``, ``popularity``, ``genres``, ``similar``. ``Catalog.build`` resolves
+every similar reference to an index in one pass, then sorts and dedupes the
+rows with one sort of row-major edge keys; only a bad reference sends it
+back over the lists in order, to name the first one. ``load_catalog`` keeps
+one string object per distinct id, however many similar lists name it.
 """
 
 from __future__ import annotations
@@ -159,6 +163,19 @@ class GenreRanking(NamedTuple):
     neg_popularity: np.ndarray
 
 
+def _raise_first_bad_reference(
+    ordered: Sequence[Artist], refs: Sequence[Sequence[str]], index: Mapping[str, int]
+) -> None:
+    """Raise CatalogError for the first dangling or self reference, scanning
+    artists in id order and each similar list in its own order."""
+    for artist, similar in zip(ordered, refs):
+        for ref in similar:
+            if ref not in index:
+                raise CatalogError(f"artist {artist.id!r}: similar reference {ref!r} not in catalog")
+            if ref == artist.id:
+                raise CatalogError(f"artist {artist.id!r}: listed as similar to itself")
+
+
 @dataclass(frozen=True, eq=False)
 class Catalog:
     """Artists plus their similarity graph over a shared dense index.
@@ -177,24 +194,38 @@ class Catalog:
     def build(cls, artists: Iterable[Artist], similar: Mapping[str, Sequence[str]]) -> "Catalog":
         """Construct and validate a catalog from artist records and per-id
         similar lists. Raises CatalogError on duplicate ids, dangling
-        references, or self-references."""
+        references, or self-references; an artist missing from ``similar``
+        gets an empty row. Each row ends up sorted and unique."""
         ordered = tuple(sorted(artists, key=lambda a: a.id))
         index: dict[str, int] = {}
         for pos, artist in enumerate(ordered):
             if artist.id in index:
                 raise CatalogError(f"duplicate artist id {artist.id!r}")
             index[artist.id] = pos
-        rows: list[list[int]] = []
-        for artist in ordered:
-            cols: set[int] = set()
-            for ref in similar.get(artist.id, ()):
-                if ref not in index:
-                    raise CatalogError(f"artist {artist.id!r}: similar reference {ref!r} not in catalog")
-                if ref == artist.id:
-                    raise CatalogError(f"artist {artist.id!r}: listed as similar to itself")
-                cols.add(index[ref])
-            rows.append(sorted(cols))
-        return cls(ordered, SimilarityGraph.from_rows(rows))
+        n = len(ordered)
+        refs = [similar.get(artist.id, ()) for artist in ordered]
+        counts = np.fromiter(map(len, refs), dtype=np.int64, count=n)
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+        resolved = map(index.__getitem__, itertools.chain.from_iterable(refs))
+        try:
+            cols = np.fromiter(resolved, dtype=np.int64, count=rows.size)
+        except KeyError:
+            cols = None
+        if cols is None or np.any(cols == rows):
+            _raise_first_bad_reference(ordered, refs, index)
+        # one row-major sort key per edge, built in the rows array itself:
+        # each extra edge-length array would cost 8 bytes per edge
+        key = rows
+        key *= n
+        key += cols
+        del cols
+        key.sort()
+        unique = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=unique[1:])
+        key = key[unique]
+        indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+        key %= n
+        return cls(ordered, SimilarityGraph(indptr, key))
 
     @property
     def n(self) -> int:
@@ -289,11 +320,20 @@ _REQUIRED_FIELDS = ("id", "name", "popularity", "genres", "similar")
 
 def load_catalog(path: str | Path) -> Catalog:
     """Load a JSON Lines catalog file. Rows end up sorted by id. Raises
-    CatalogError on any malformed record or unresolvable reference."""
+    CatalogError on any malformed record, text that is not UTF-8, or an
+    unresolvable reference. Every occurrence of an id, as an artist or as a
+    similar reference, is one shared string object."""
     artists: list[Artist] = []
     similar: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    # first occurrence of each id string: the decoder makes a new string per
+    # reference, and ~20 copies per id would outlive the load in ``similar``
+    canonical: dict[str, str] = {}
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CatalogError(f"{path}:{lineno}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
             if not line.strip():
                 continue
             try:
@@ -302,18 +342,21 @@ def load_catalog(path: str | Path) -> Catalog:
                 raise CatalogError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(record, dict) or any(f not in record for f in _REQUIRED_FIELDS):
                 raise CatalogError(f"{path}:{lineno}: record must have fields {', '.join(_REQUIRED_FIELDS)}")
+            for field in ("id", "name"):
+                if not isinstance(record[field], str):
+                    raise CatalogError(f"{path}:{lineno}: {field} must be a string")
             if not isinstance(record["genres"], list) or not all(isinstance(g, str) for g in record["genres"]):
                 raise CatalogError(f"{path}:{lineno}: genres must be a list of strings")
             if not isinstance(record["similar"], list) or not all(isinstance(s, str) for s in record["similar"]):
                 raise CatalogError(f"{path}:{lineno}: similar must be a list of ids")
             artist = Artist(
-                id=str(record["id"]),
-                name=str(record["name"]),
+                id=canonical.setdefault(record["id"], record["id"]),
+                name=record["name"],
                 popularity=record["popularity"],
                 genres=tuple(record["genres"]),
             )
             artists.append(artist)
-            similar[artist.id] = list(record["similar"])
+            similar[artist.id] = list(map(canonical.setdefault, record["similar"], record["similar"]))
     return Catalog.build(artists, similar)
 
 

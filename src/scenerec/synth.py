@@ -5,7 +5,11 @@ from seed artists: it walks a catalog's similarity graph breadth-first from
 a seed set until it hits a fetch limit, and keeps the sub-catalog it reached.
 The generator fabricates a whole catalog with long-tail popularity and
 genre-clustered similar lists, so experiments can run at desk scale without
-any external service.
+any external service. It works in index space: after each artist's genre
+draws, the similar lists are drawn group by group (artists sharing a genre
+set) from one stream of doubles, most rows a block at a time with array
+operations, and written straight into the CSR graph; id strings are made
+only for the artist records.
 """
 
 from __future__ import annotations
@@ -112,31 +116,81 @@ def genre_names(count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _weighted_sample_excluding(
-    rng: np.random.Generator, cum: np.ndarray, n_positive: int, exclude: int, k: int
-) -> np.ndarray:
+# Doubles read ahead per refill of the similar-list draw stream. Small
+# enough that the buffer stays cache-sized next to the catalog arrays.
+_DRAW_BLOCK = 16384
+
+
+class _DrawStream:
+    """The generator's doubles as one stream. Consecutive ``rng.random``
+    calls read consecutive doubles, so reading ahead in blocks and handing
+    the doubles out in order gives the values one call per request would."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._buffer = np.empty(0)
+        self._pos = 0
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` doubles, without consuming them."""
+        if self._pos + count > self._buffer.size:
+            rest = self._buffer[self._pos :]
+            self._buffer = np.concatenate((rest, self._rng.random(max(_DRAW_BLOCK, count - rest.size))))
+            self._pos = 0
+        return self._buffer[self._pos : self._pos + count]
+
+    def skip(self, count: int) -> None:
+        self._pos += count
+
+
+def _sample_row(stream: _DrawStream, cum: np.ndarray, exclude: int, k: int) -> np.ndarray:
     """Draw k distinct indices != ``exclude`` proportional to the weights
     behind the cumulative sum ``cum`` (successive sampling without
-    replacement, realized by inverse-CDF draws with duplicate rejection).
-    Zero-weight indices are never drawn; if fewer than k positive-weight
-    candidates exist, all of them are returned."""
-    excludable = 1 if exclude >= 0 and cum[exclude] > (cum[exclude - 1] if exclude > 0 else 0.0) else 0
-    if n_positive - excludable <= k:
-        deltas = np.diff(cum, prepend=0.0)
-        picks = np.flatnonzero(deltas > 0)
-        return picks[picks != exclude]
-    total = cum[-1]
+    replacement, realized by inverse-CDF draws with duplicate rejection):
+    each attempt reads 2k doubles, and attempts repeat until k are found."""
     chosen: list[int] = []
     seen: set[int] = {exclude}
     while len(chosen) < k:
-        draws = np.searchsorted(cum, rng.random(2 * k) * total, side="right")
-        for j in draws:
+        draws = np.searchsorted(cum, stream.peek(2 * k) * cum[-1], side="right")
+        stream.skip(2 * k)
+        for j in draws.tolist():
             if j not in seen:
-                seen.add(int(j))
-                chosen.append(int(j))
+                seen.add(j)
+                chosen.append(j)
                 if len(chosen) == k:
                     break
     return np.asarray(chosen, dtype=np.int64)
+
+
+def _sample_rows(stream: _DrawStream, cum: np.ndarray, rows: np.ndarray, k: int, out: np.ndarray) -> None:
+    """``_sample_row`` for each of ``rows`` in turn, written sorted to
+    ``out[row]``. Most rows find k distinct picks in their first 2k draws,
+    so a block of rows is drawn and resolved at once on that assumption; the
+    first row that needs more draws is finished by ``_sample_row`` from the
+    same stream, and the next block starts at the first unused double."""
+    per_block = max(1, _DRAW_BLOCK // (2 * k))
+    start = 0
+    while start < rows.size:
+        block = rows[start : start + per_block]
+        picks = np.searchsorted(cum, stream.peek(2 * k * block.size) * cum[-1], side="right")
+        picks = picks.reshape(block.size, 2 * k)
+        # a stable sort puts each value's earliest draw first among its copies
+        order = np.argsort(picks, axis=1, kind="stable")
+        ranked = np.take_along_axis(picks, order, axis=1)
+        first = ranked != block[:, None]
+        first[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+        fresh = np.empty_like(first)
+        np.put_along_axis(fresh, order, first, axis=1)
+        taken = np.cumsum(fresh, axis=1)
+        done = taken[:, -1] >= k
+        ok = block.size if done.all() else int(np.argmin(done))
+        keep = fresh[:ok] & (taken[:ok] <= k)
+        out[block[:ok]] = np.sort(picks[:ok][keep].reshape(ok, k), axis=1)
+        stream.skip(2 * k * ok)
+        start += ok
+        if ok < block.size:
+            out[block[ok]] = np.sort(_sample_row(stream, cum, int(block[ok]), k))
+            start += 1
 
 
 def generate_catalog(config: SynthConfig) -> Catalog:
@@ -155,43 +209,59 @@ def generate_catalog(config: SynthConfig) -> Catalog:
         raise ValueError("genre_count must be >= 1 for a nonempty catalog")
     rng = np.random.default_rng(config.seed)
     genres = genre_names(config.genre_count)
+    k = config.similar_per_artist
 
     levels = np.arange(101, dtype=np.float64)
     pop_weights = (levels + 1.0) ** -config.popularity_exponent
     pop_weights /= pop_weights.sum()
     popularity = rng.choice(101, size=n, p=pop_weights)
 
-    membership = np.zeros((n, config.genre_count), dtype=bool)
+    # Artists sharing a genre set see identical target weights, so they are
+    # grouped by their sorted genre indices and each cumulative weight vector
+    # is built once. Membership is genre-major so a group reads whole rows.
+    membership = np.zeros((config.genre_count, n), dtype=bool)
     genre_lists: list[tuple[str, ...]] = []
-    for i in range(n):
-        count = int(rng.integers(1, min(3, config.genre_count) + 1))
-        chosen = rng.choice(config.genre_count, size=count, replace=False)
-        membership[i, chosen] = True
-        genre_lists.append(tuple(genres[g] for g in chosen))
-
-    width = max(5, len(str(n - 1)))
-    ids = [f"a{i:0{width}d}" for i in range(n)]
-    target_weight = (1.0 + popularity.astype(np.float64)) ** POPULARITY_BIAS_EXPONENT
-
-    # Artists sharing a genre set see identical target weights, so group them
-    # and build each cumulative weight vector once. Draw order stays fixed
-    # (groups by key, artists by index) to keep the output deterministic.
     by_genre_set: dict[tuple[int, ...], list[int]] = {}
     for i in range(n):
-        by_genre_set.setdefault(tuple(np.flatnonzero(membership[i])), []).append(i)
+        count = int(rng.integers(1, min(3, config.genre_count) + 1))
+        chosen = rng.choice(config.genre_count, size=count, replace=False).tolist()
+        membership[chosen, i] = True
+        genre_lists.append(tuple(genres[g] for g in chosen))
+        by_genre_set.setdefault(tuple(sorted(chosen)), []).append(i)
 
-    similar: dict[str, list[str]] = {}
+    target_weight = (1.0 + popularity.astype(np.float64)) ** POPULARITY_BIAS_EXPONENT
+
+    # Row i of the graph is picks[i, :length[i]]. Draw order stays fixed
+    # (groups by key, artists by index) to keep the output deterministic.
+    picks = np.empty((n, k), dtype=np.int64)
+    length = np.full(n, k, dtype=np.int64)
+    stream = _DrawStream(rng)
     for key in sorted(by_genre_set):
-        shares_genre = membership[:, key].any(axis=1)
+        members = np.asarray(by_genre_set[key])
+        shares_genre = membership[list(key)].any(axis=0)
         weights = np.where(shares_genre, config.intra_genre_prob, config.cross_genre_prob) * target_weight
         cum = np.cumsum(weights)
         n_positive = int(np.count_nonzero(weights))
-        for i in by_genre_set[key]:
-            picks = _weighted_sample_excluding(rng, cum, n_positive, i, config.similar_per_artist)
-            similar[ids[i]] = [ids[j] for j in sorted(picks)]
+        # an artist whose own weight is positive could draw itself
+        excludable = cum[members] > np.where(members > 0, cum[members - 1], 0.0)
+        few = n_positive - excludable <= k
+        if few.any():
+            # too few candidates: the row is every positive-weight index but i
+            positive = np.flatnonzero(np.diff(cum, prepend=0.0) > 0)
+            for i in members[few].tolist():
+                row = positive[positive != i]
+                picks[i, : row.size] = row
+                length[i] = row.size
+        _sample_rows(stream, cum, members[~few], k, picks)
 
-    artists = [
-        Artist(id=ids[i], name=f"Artist {ids[i][1:]}", popularity=int(popularity[i]), genres=genre_lists[i])
-        for i in range(n)
-    ]
-    return Catalog.build(artists, similar)
+    width = max(5, len(str(n - 1)))
+    ids = [f"a{i:0{width}d}" for i in range(n)]
+    artists = tuple(
+        Artist(id=aid, name=f"Artist {aid[1:]}", popularity=pop, genres=genre_list)
+        for aid, pop, genre_list in zip(ids, popularity.tolist(), genre_lists)
+    )
+    # the zero-padded ids sort in index order, so the rows are already the
+    # catalog's CSR rows
+    indptr = np.concatenate(([0], np.cumsum(length)))
+    indices = picks[np.arange(k) < length[:, None]]
+    return Catalog(artists, SimilarityGraph(indptr, indices))

@@ -87,6 +87,101 @@ class TestLoadCatalog:
         write_jsonl(path, [record("z"), record("a")])
         assert load_catalog(path).ids == ("a", "z")
 
+    def test_line_order_differs_from_id_order(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record("c", similar=["a"]), record("a", similar=["c", "b"]), record("b", similar=["c"])])
+        catalog = load_catalog(path)
+        assert catalog.ids == ("a", "b", "c")
+        assert [catalog.graph.row(i).tolist() for i in range(3)] == [[1, 2], [2], [0]]
+
+    def test_non_string_similar_entry_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record("a", similar=["b", 5]), record("b")])
+        with pytest.raises(CatalogError, match=r"c\.jsonl:1: similar must be a list of ids$"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("field, value", [("id", None), ("id", 5), ("name", None), ("name", ["x"])])
+    def test_non_string_id_or_name_rejected(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record("b"), {**record("a"), field: value}])
+        with pytest.raises(CatalogError) as excinfo:
+            load_catalog(path)
+        assert str(excinfo.value) == f"{path}:2: {field} must be a string"
+
+    def test_null_id_is_not_the_string_none(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record("None"), {**record("x"), "id": None}])
+        with pytest.raises(CatalogError) as excinfo:
+            load_catalog(path)
+        assert str(excinfo.value) == f"{path}:2: id must be a string"
+
+    @pytest.mark.parametrize("bad_line", [1, 2])
+    def test_non_utf8_text_names_file_and_line(self, tmp_path, bad_line):
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps(record("a")).encode("utf-8"), json.dumps(record("b")).encode("utf-8")]
+        lines[bad_line - 1] = b"\xff\xfe" + lines[bad_line - 1]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(CatalogError) as excinfo:
+            load_catalog(path)
+        assert str(excinfo.value) == f"{path}:{bad_line}: not UTF-8 text (byte 0: invalid start byte)"
+
+
+class TestBuild:
+    def test_unsorted_and_repeated_references_give_a_sorted_unique_row(self):
+        catalog = build_catalog([(x, 10, []) for x in "dacb"], similar={"a": ["d", "b", "d", "c", "b"], "c": ["a", "a"]})
+        assert catalog.graph.row(0).tolist() == [1, 2, 3]
+        assert catalog.graph.row(2).tolist() == [0]
+        catalog.graph.validate()
+
+    def test_artist_missing_from_similar_gets_an_empty_row(self):
+        catalog = build_catalog([("a", 10, []), ("b", 10, []), ("c", 10, [])], similar={"b": ["a"]})
+        assert catalog.graph.indptr.tolist() == [0, 0, 1, 1]
+        assert catalog.graph.indices.tolist() == [0]
+
+    def test_empty(self):
+        catalog = Catalog.build([], {})
+        assert catalog.n == 0
+        assert catalog.graph.indptr.tolist() == [0] and catalog.graph.indices.size == 0
+
+    @pytest.mark.parametrize(
+        "similar, message",
+        [
+            # the self-reference comes first in id order, the dangling one later
+            ({"a": ["b", "a"], "b": ["ghost"]}, "artist 'a': listed as similar to itself"),
+            ({"a": ["b"], "b": ["ghost", "b"]}, "artist 'b': similar reference 'ghost' not in catalog"),
+            ({"a": ["ghost", "a"], "b": ["b"]}, "artist 'a': similar reference 'ghost' not in catalog"),
+            ({"b": ["b"], "a": ["ghost"]}, "artist 'a': similar reference 'ghost' not in catalog"),
+        ],
+    )
+    def test_first_bad_reference_in_id_order_is_reported(self, similar, message):
+        with pytest.raises(CatalogError) as excinfo:
+            build_catalog([("b", 10, []), ("a", 10, [])], similar=similar)
+        assert str(excinfo.value) == message
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_sorted_sets_of_the_references(self, data):
+        ids = data.draw(ids_strategy)
+        refs = st.lists(st.sampled_from([*ids, "0ghost"]), max_size=6)
+        similar = data.draw(st.dictionaries(st.sampled_from(ids), refs))
+        artists = [Artist(id=aid, name=aid, popularity=0) for aid in reversed(ids)]
+        ordered = sorted(ids)
+        bad = (
+            f"artist {aid!r}: similar reference '0ghost' not in catalog" if ref == "0ghost"
+            else f"artist {aid!r}: listed as similar to itself"
+            for aid in ordered for ref in similar.get(aid, []) if ref in ("0ghost", aid)
+        )
+        expected_error = next(bad, None)
+        if expected_error:
+            with pytest.raises(CatalogError) as excinfo:
+                Catalog.build(artists, similar)
+            assert str(excinfo.value) == expected_error
+            return
+        catalog = Catalog.build(artists, similar)
+        assert catalog.ids == tuple(ordered)
+        rows = [sorted({ordered.index(ref) for ref in similar.get(aid, [])}) for aid in ordered]
+        assert catalog.graph == SimilarityGraph.from_rows(rows)
+
 
 ids_strategy = st.lists(st.from_regex(r"[a-z]{1,6}", fullmatch=True), min_size=1, max_size=12, unique=True)
 

@@ -75,6 +75,14 @@ class TestSynthCommand:
         assert err.startswith("error: --from-fixture needs --seeds") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_non_utf8_fixture_fails_in_one_line(self, tmp_path, capsys):
+        fixture, out = tmp_path / "fixture.jsonl", tmp_path / "crawl.jsonl"
+        fixture.write_bytes(b"\xff\xfe" + json.dumps({"id": "a"}).encode("utf-8") + b"\n")
+        code = run(["synth", "--from-fixture", fixture, "--seeds", "a", "--seed", 0, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {fixture}:1: not UTF-8 text (byte 0: invalid start byte)\n"
+        assert not out.exists()
+
     def test_nan_exponent_fails_in_one_line(self, tmp_path, capsys):
         assert run(["synth", "--artists", 50, "--exponent", "nan", "--seed", 1, "--out", tmp_path / "x"]) == 1
         assert capsys.readouterr().err == "error: popularity_exponent must be finite, got nan\n"

@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenerec.catalog import COMMON_GENRES, Catalog, popularity_percentiles, save_catalog
+from scenerec import synth
+from scenerec.catalog import COMMON_GENRES, Artist, Catalog, popularity_percentiles, save_catalog
 from scenerec.synth import (
+    POPULARITY_BIAS_EXPONENT,
     CrawlError,
     FixtureProvider,
     SynthConfig,
@@ -124,7 +127,118 @@ class TestSnowballCrawl:
         assert crawled == catalog
 
 
+# SHA-256 of the saved catalog for each config. The small configs finish
+# every similar list through repeated draws or take every positive-weight
+# artist; seed 8 at 200 mixes one-attempt and repeated-draw rows; the
+# one-genre config puts 1000 artists in one group.
+PINNED_CATALOGS = [
+    pytest.param(dict(seed=7, artist_count=5000), "ca272608da348e5549fdf9b34f20a8a26dacd7650860d4e357fe55f6b86dc84e", id="5k"),
+    pytest.param(dict(seed=3, artist_count=30), "bf650fc9d36db7fccd784057b1601677f0e331348a2be2bfa60af5b5dce70852", id="30"),
+    pytest.param(
+        dict(seed=4, artist_count=25, genre_count=2),
+        "f4288761a40b3c8b7b2f948e5db6dcf682b716dc08351d917de074a4ff248f59",
+        id="25-two-genres",
+    ),
+    pytest.param(
+        dict(seed=2, artist_count=40, genre_count=3, cross_genre_prob=0.0, similar_per_artist=15),
+        "47bf4887d8d024444dfcfd6c385405c438a6146396b3894a22908d8ba63259f6",
+        id="40-intra-only",
+    ),
+    pytest.param(
+        dict(seed=6, artist_count=25, cross_genre_prob=0.0),
+        "9a6ac31ac007a0898974e46b62fe009e7f3a4ba74baf6731416b7c3dfe120b2d",
+        id="25-all-positive",
+    ),
+    pytest.param(
+        dict(seed=8, artist_count=200, similar_per_artist=10),
+        "cc0f1b68f55968b51c1c8fbbca6f1d9996424b93f6510cd27afa463d8b209cfd",
+        id="200-mixed",
+    ),
+    pytest.param(
+        dict(seed=5, artist_count=1000, genre_count=1),
+        "073dd50cab545dc8ef857d6a61604d3c5db1e8e686e305c81d9a6bf8bcf5c834",
+        id="1000-one-genre",
+    ),
+]
+
+
+def catalog_digest(config, path):
+    save_catalog(generate_catalog(SynthConfig(**config)), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def reference_generate(config):
+    """The per-artist generator over id strings: the same rng calls, one
+    ``random(2k)`` attempt at a time per similar list, each list a set of
+    ids handed to ``Catalog.build``."""
+    n, k = config.artist_count, config.similar_per_artist
+    rng = np.random.default_rng(config.seed)
+    genres = genre_names(config.genre_count)
+    pop_weights = (np.arange(101, dtype=np.float64) + 1.0) ** -config.popularity_exponent
+    pop_weights /= pop_weights.sum()
+    popularity = rng.choice(101, size=n, p=pop_weights)
+    membership = np.zeros((n, config.genre_count), dtype=bool)
+    genre_lists = []
+    for i in range(n):
+        chosen = rng.choice(config.genre_count, size=int(rng.integers(1, min(3, config.genre_count) + 1)), replace=False)
+        membership[i, chosen] = True
+        genre_lists.append(tuple(genres[g] for g in chosen))
+    ids = [f"a{i:0{max(5, len(str(n - 1)))}d}" for i in range(n)]
+    target_weight = (1.0 + popularity.astype(np.float64)) ** POPULARITY_BIAS_EXPONENT
+    groups = {}
+    for i in range(n):
+        groups.setdefault(tuple(np.flatnonzero(membership[i])), []).append(i)
+    similar = {}
+    for key in sorted(groups):
+        shares_genre = membership[:, key].any(axis=1)
+        weights = np.where(shares_genre, config.intra_genre_prob, config.cross_genre_prob) * target_weight
+        cum = np.cumsum(weights)
+        positive = np.diff(cum, prepend=0.0) > 0
+        for i in groups[key]:
+            if np.count_nonzero(weights) - positive[i] <= k:
+                picks = [j for j in np.flatnonzero(positive) if j != i]
+            else:
+                picks, seen = [], {i}
+                while len(picks) < k:
+                    for j in np.searchsorted(cum, rng.random(2 * k) * cum[-1], side="right"):
+                        if j not in seen and len(picks) < k:
+                            seen.add(j)
+                            picks.append(j)
+            similar[ids[i]] = [ids[j] for j in picks]
+    artists = [
+        Artist(id=ids[i], name=f"Artist {ids[i][1:]}", popularity=int(popularity[i]), genres=genre_lists[i])
+        for i in range(n)
+    ]
+    return Catalog.build(artists, similar)
+
+
 class TestGenerateCatalog:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_artist_reference(self, data):
+        n = data.draw(st.integers(2, 60))
+        config = SynthConfig(
+            seed=data.draw(st.integers(0, 2**16)),
+            artist_count=n,
+            genre_count=data.draw(st.integers(1, 5)),
+            intra_genre_prob=data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
+            cross_genre_prob=data.draw(st.sampled_from([0.0, 0.05, 0.5])),
+            similar_per_artist=data.draw(st.integers(1, n - 1)),
+        )
+        assert generate_catalog(config) == reference_generate(config)
+
+    @pytest.mark.parametrize("config, digest", PINNED_CATALOGS)
+    def test_saved_bytes_are_pinned(self, tmp_path, config, digest):
+        assert catalog_digest(config, tmp_path / "c.jsonl") == digest
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("config, digest", PINNED_CATALOGS[1:])
+    def test_bytes_do_not_depend_on_the_draw_block(self, tmp_path, monkeypatch, block, config, digest):
+        # the generator reads its doubles ahead in blocks; any block size
+        # must hand out the same stream
+        monkeypatch.setattr(synth, "_DRAW_BLOCK", block)
+        assert catalog_digest(config, tmp_path / "c.jsonl") == digest
+
     def test_same_config_byte_identical(self, tmp_path):
         config = SynthConfig(seed=42, artist_count=120, similar_per_artist=6)
         p1, p2 = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
