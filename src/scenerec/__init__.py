@@ -10,7 +10,6 @@ from scenerec.catalog import (
     Artist,
     Catalog,
     CatalogError,
-    PercentileReport,
     SimilarityGraph,
     UserVector,
     artists_in_range,
@@ -34,7 +33,6 @@ __all__ = [
     "ExperimentReport",
     "FactorModel",
     "FixtureProvider",
-    "PercentileReport",
     "SimilarityGraph",
     "SynthConfig",
     "Trial",

@@ -276,19 +276,6 @@ class Catalog:
         return self.artists == other.artists and self.graph == other.graph
 
 
-@dataclass(frozen=True)
-class PercentileReport:
-    """Popularity values of one artist subset at the 25/50/75/95th
-    percentiles (nearest-rank)."""
-
-    label: str
-    count: int
-    p25: int
-    p50: int
-    p75: int
-    p95: int
-
-
 @dataclass(frozen=True, eq=False)
 class UserVector:
     """Sparse seed-artist indicator vector over a catalog's dense index."""
@@ -375,30 +362,14 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def nearest_rank(values: Sequence[int], p: int) -> int:
-    """Nearest-rank percentile: the value at 1-based rank ceil(p*n/100) of
-    the ascending-sorted sample."""
-    ordered = sorted(values)
+def popularity_percentiles(catalog: Catalog) -> tuple[int, int, int, int]:
+    """Nearest-rank 25/50/75/95th percentiles of the artists' popularity:
+    the values at 1-based ranks ceil(p*n/100) of the ascending sort. An
+    empty catalog is an error, not zeros."""
+    ordered = sorted(a.popularity for a in catalog.artists)
     if not ordered:
-        raise CatalogError("percentile of an empty sample")
-    rank = math.ceil(p * len(ordered) / 100)
-    return ordered[max(rank, 1) - 1]
-
-
-def popularity_percentiles(catalog: Catalog, label: str = "all") -> PercentileReport:
-    """Popularity percentiles of the catalog's artists. An empty catalog is
-    an error, not a report of zeros."""
-    subset = sorted(a.popularity for a in catalog.artists)
-    if not subset:
-        raise CatalogError(f"percentile subset {label!r} is empty")
-    return PercentileReport(
-        label=label,
-        count=len(subset),
-        p25=nearest_rank(subset, 25),
-        p50=nearest_rank(subset, 50),
-        p75=nearest_rank(subset, 75),
-        p95=nearest_rank(subset, 95),
-    )
+        raise CatalogError("popularity percentiles of an empty catalog")
+    return tuple(ordered[math.ceil(p * len(ordered) / 100) - 1] for p in (25, 50, 75, 95))
 
 
 def artists_in_range(catalog: Catalog, genre: str, lo: int, hi: int) -> list[str]:

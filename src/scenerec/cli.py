@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -28,13 +29,6 @@ def resolve_path(value: str) -> Path:
         return path
     base = os.environ.get(DATA_DIR_ENV)
     return (Path(base) / path) if base else path
-
-
-def _print_percentiles(reports: list[cat.PercentileReport]) -> None:
-    header = f"{'subset':<24}{'artists':>8}{'25%':>6}{'50%':>6}{'75%':>6}{'95%':>6}"
-    print(header)
-    for r in reports:
-        print(f"{r.label:<24}{r.count:>8}{r.p25:>6}{r.p50:>6}{r.p75:>6}{r.p95:>6}")
 
 
 def _parse_bins(text: str) -> tuple[tuple[int, int], ...]:
@@ -76,8 +70,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
     cat.save_catalog(catalog, out)
     print(f"wrote {catalog.n} artists, {catalog.graph.edge_count} similarity edges -> {out}")
     if catalog.n:
-        _print_percentiles([cat.popularity_percentiles(catalog, label=label)])
+        print(f"{'subset':<24}{'artists':>8}{'25%':>6}{'50%':>6}{'75%':>6}{'95%':>6}")
+        print(f"{label:<24}{catalog.n:>8}" + "".join(f"{v:>6}" for v in cat.popularity_percentiles(catalog)))
     return 0
+
+
+def _flag_values(config_cls: type, args: argparse.Namespace) -> dict:
+    """The flags in ``args`` named like fields of ``config_cls``."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls) if hasattr(args, f.name)}
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -86,7 +86,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise cat.CatalogError("catalog is empty; nothing to train on")
     out = resolve_path(args.out)
     if args.model == "wrmf":
-        config = wrmf.WrmfConfig(k=args.k, lam=args.lam, alpha=args.alpha, sweeps=args.sweeps, seed=args.seed)
+        config = wrmf.WrmfConfig(**_flag_values(wrmf.WrmfConfig, args))
         model = wrmf.train_wrmf(catalog.graph, config, index_hash=catalog.index_hash())
         wrmf.save_factor_model(model, out)
         print(f"wrmf: k={config.k} lam={config.lam} alpha={config.alpha} sweeps={config.sweeps}")
@@ -94,17 +94,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         for i, value in enumerate(model.objective_trace):
             print(f"  {i:3d}  {value:.6f}")
     else:
-        config = multvae.VaeConfig(
-            n_items=catalog.n,
-            hidden=args.hidden,
-            bottleneck=args.bottleneck,
-            dropout=args.dropout,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            learning_rate=args.learning_rate,
-            kl_weight=args.kl_weight,
-            seed=args.seed,
-        )
+        config = multvae.VaeConfig(n_items=catalog.n, **_flag_values(multvae.VaeConfig, args))
         model, trace = multvae.train_multvae(catalog.graph, config, index_hash=catalog.index_hash())
         multvae.save_vae_model(model, out)
         print(
@@ -197,6 +187,23 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _config_value(action: argparse.Action, value: object) -> object:
+    """A --config value parsed as its flag would parse the same text; for a
+    value the flag would not take, a ValueError (returned, not raised, so an
+    explicit flag can still override it)."""
+    if isinstance(action, argparse._AppendAction):
+        items = [value] if isinstance(value, str) else value
+        if isinstance(items, list) and all(isinstance(v, str) for v in items):
+            return items
+        return ValueError(f"{action.dest}: expected a string or a list of strings, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        return ValueError(f"{action.dest}: expected a string or a number, got {value!r}")
+    try:
+        return (action.type or str)(str(value))
+    except ValueError:
+        return ValueError(f"{action.dest}: invalid {action.type.__name__} value: {str(value)!r}")
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenerec",
@@ -204,17 +211,20 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     fmt = argparse.ArgumentDefaultsHelpFormatter
+    # each flag's default is the default of the config field it sets
+    configs = (synth.SynthConfig, wrmf.WrmfConfig, multvae.VaeConfig, evaluation.ExperimentConfig)
+    fd = {f.name: f.default for c in configs for f in dataclasses.fields(c)}
 
     p_synth = sub.add_parser("synth", help="generate a synthetic catalog or crawl a fixture file", formatter_class=fmt)
     p_synth.add_argument("--config", help="JSON file of flag defaults")
     p_synth.add_argument("--out", help="catalog output path (JSON Lines)")
     p_synth.add_argument("--seed", type=int, help="generator seed")
-    p_synth.add_argument("--artists", type=int, default=5000, help="artist count")
-    p_synth.add_argument("--genres", type=int, default=20, help="genre count")
-    p_synth.add_argument("--exponent", type=float, default=0.7, help="popularity power-law decay")
-    p_synth.add_argument("--intra", type=float, default=0.9, help="same-genre similarity weight")
-    p_synth.add_argument("--cross", type=float, default=0.05, help="cross-genre similarity weight")
-    p_synth.add_argument("--similar-per-artist", type=int, default=20, help="similar-list length")
+    p_synth.add_argument("--artists", type=int, default=fd["artist_count"], help="artist count")
+    p_synth.add_argument("--genres", type=int, default=fd["genre_count"], help="genre count")
+    p_synth.add_argument("--exponent", type=float, default=fd["popularity_exponent"], help="popularity power-law decay")
+    p_synth.add_argument("--intra", type=float, default=fd["intra_genre_prob"], help="same-genre similarity weight")
+    p_synth.add_argument("--cross", type=float, default=fd["cross_genre_prob"], help="cross-genre similarity weight")
+    p_synth.add_argument("--similar-per-artist", type=int, default=fd["similar_per_artist"], help="similar-list length")
     p_synth.add_argument("--from-fixture", help="crawl this catalog file instead of generating")
     p_synth.add_argument("--seeds", help="comma-separated seed artist ids for the crawl")
     p_synth.add_argument("--limit", type=int, default=1000, help="max artists to fetch in a crawl")
@@ -226,17 +236,17 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_train.add_argument("--catalog", help="catalog path")
     p_train.add_argument("--out", help="model output path (.npz)")
     p_train.add_argument("--seed", type=int, help="training seed")
-    p_train.add_argument("--k", type=int, default=128, help="wrmf embedding dimension")
-    p_train.add_argument("--lam", type=float, default=0.1, help="wrmf ridge regularization")
-    p_train.add_argument("--alpha", type=float, default=15.0, help="wrmf confidence weight")
-    p_train.add_argument("--sweeps", type=int, default=15, help="wrmf ALS sweeps")
-    p_train.add_argument("--hidden", type=int, default=600, help="multvae hidden layer width")
-    p_train.add_argument("--bottleneck", type=int, default=200, help="multvae latent dimension")
-    p_train.add_argument("--dropout", type=float, default=0.2, help="multvae input dropout probability")
-    p_train.add_argument("--batch-size", type=int, default=250, help="multvae mini-batch size")
-    p_train.add_argument("--epochs", type=int, default=100, help="multvae training epochs")
-    p_train.add_argument("--learning-rate", type=float, default=1e-3, help="multvae Adam step size")
-    p_train.add_argument("--kl-weight", type=float, default=0.0, help="weight of the latent KL term")
+    p_train.add_argument("--k", type=int, default=fd["k"], help="wrmf embedding dimension")
+    p_train.add_argument("--lam", type=float, default=fd["lam"], help="wrmf ridge regularization")
+    p_train.add_argument("--alpha", type=float, default=fd["alpha"], help="wrmf confidence weight")
+    p_train.add_argument("--sweeps", type=int, default=fd["sweeps"], help="wrmf ALS sweeps")
+    p_train.add_argument("--hidden", type=int, default=fd["hidden"], help="multvae hidden layer width")
+    p_train.add_argument("--bottleneck", type=int, default=fd["bottleneck"], help="multvae latent dimension")
+    p_train.add_argument("--dropout", type=float, default=fd["dropout"], help="multvae input dropout probability")
+    p_train.add_argument("--batch-size", type=int, default=fd["batch_size"], help="multvae mini-batch size")
+    p_train.add_argument("--epochs", type=int, default=fd["epochs"], help="multvae training epochs")
+    p_train.add_argument("--learning-rate", type=float, default=fd["learning_rate"], help="multvae Adam step size")
+    p_train.add_argument("--kl-weight", type=float, default=fd["kl_weight"], help="weight of the latent KL term")
     p_train.set_defaults(func=cmd_train, required_fields=("seed", "catalog", "out"))
 
     p_eval = sub.add_parser("eval", help="run the popularity-bin benchmark", formatter_class=fmt)
@@ -247,12 +257,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         "--algorithms",
         help="comma-separated subset to run; 'random' and 'oracle' are built in (default: the given models)",
     )
-    p_eval.add_argument(
-        "--bins",
-        default="0-4,5-9,10-14,15-19,20-24,25-29,30-34,35-39,40-44,45-49,50-54,55-59,60-64,65-69,70-74,75-79",
-        help="comma-separated lo-hi popularity ranges",
-    )
-    p_eval.add_argument("--trials", type=int, default=100, help="trials per bin")
+    bins = ",".join(f"{lo}-{hi}" for lo, hi in evaluation.DEFAULT_BINS)
+    p_eval.add_argument("--bins", default=bins, help="comma-separated lo-hi popularity ranges")
+    p_eval.add_argument("--trials", type=int, default=fd["trials_per_bin"], help="trials per bin")
     p_eval.add_argument("--seed", type=int, help="master seed for trial streams")
     p_eval.add_argument("--out", help="report CSV path")
     p_eval.add_argument("--per-trial", help="optional per-trial AUC CSV path")
@@ -264,10 +271,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_report.add_argument("infile", help="report CSV produced by eval")
     p_report.set_defaults(func=cmd_report, required_fields=())
 
-    if defaults:
-        for sp in (p_synth, p_train, p_eval, p_report):
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    # one file serves every subcommand, so each takes only its own flags
+    for sp in (p_synth, p_train, p_eval, p_report):
+        flags = [a for a in sp._actions if a.option_strings and a.dest in (defaults or {})]
+        sp.set_defaults(**{a.dest: _config_value(a, defaults[a.dest]) for a in flags})
     return parser
 
 
@@ -295,13 +302,16 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     parser = build_parser(defaults)
     args = parser.parse_args(argv)
+    bad = [v for v in vars(args).values() if isinstance(v, ValueError)]
+    if bad:
+        print(f"error: --config {config_path}: {bad[0]}", file=sys.stderr)
+        return 1
     missing = [f"--{name}" for name in args.required_fields if getattr(args, name) is None]
     if missing:
         parser.error(f"the following arguments are required: {', '.join(missing)}")
     try:
         return args.func(args)
-    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError,
-            multvae.TrainingDiverged, FloatingPointError) as exc:
+    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

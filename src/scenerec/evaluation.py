@@ -31,6 +31,11 @@ from scenerec import multvae, wrmf
 logger = logging.getLogger(__name__)
 
 DEFAULT_BINS: tuple[tuple[int, int], ...] = tuple((lo, lo + 4) for lo in range(0, 80, 5))
+# the trial protocol; scene genres come from COMMON_GENRES
+SCENE_GENRE_COUNT = 8
+SEED_GENRE_COUNT = 2
+SEEDS_PER_GENRE = 10
+CANDIDATES_PER_GENRE = 10
 TOP_POPULAR_POOL = 100
 MAX_TRIAL_RESAMPLES = 25
 REPORT_COLUMNS = ("algorithm", "bin_lo", "bin_hi", "n_trials", "mean_auc", "stderr")
@@ -61,16 +66,9 @@ class Trial:
 class ExperimentConfig:
     bins: tuple[tuple[int, int], ...] = DEFAULT_BINS
     trials_per_bin: int = 100
-    scene_genre_count: int = 8
-    seed_genre_count: int = 2
-    candidates_per_genre: int = 10
-    seeds_per_genre: int = 10
-    genre_pool: tuple[str, ...] = COMMON_GENRES
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.seed_genre_count <= self.scene_genre_count <= len(self.genre_pool):
-            raise ValueError("need seed_genre_count <= scene_genre_count <= len(genre_pool)")
         if self.trials_per_bin < 1:
             raise ValueError("trials_per_bin must be >= 1")
         for lo, hi in self.bins:
@@ -102,9 +100,7 @@ class ExperimentReport:
         raise KeyError((algorithm, bin_lo))
 
 
-def sample_trial(
-    catalog: Catalog, config: ExperimentConfig, bin_range: tuple[int, int], rng: np.random.Generator
-) -> Trial:
+def sample_trial(catalog: Catalog, bin_range: tuple[int, int], rng: np.random.Generator) -> Trial:
     """Draw one trial uniformly: scene genres from the pool, seed genres
     from the scene, seeds from each seed genre's top-100 popularity list,
     candidates from each scene genre restricted to the popularity bin. A
@@ -112,10 +108,9 @@ def sample_trial(
     are excluded from the candidate pool. Raises TrialSamplingError when no
     scoreable trial exists for this draw."""
     lo, hi = bin_range
-    pool = config.genre_pool
-    scene_idx = rng.choice(len(pool), size=config.scene_genre_count, replace=False)
-    scene_genres = tuple(pool[i] for i in scene_idx)
-    seed_idx = rng.choice(config.scene_genre_count, size=config.seed_genre_count, replace=False)
+    scene_idx = rng.choice(len(COMMON_GENRES), size=SCENE_GENRE_COUNT, replace=False)
+    scene_genres = tuple(COMMON_GENRES[i] for i in scene_idx)
+    seed_idx = rng.choice(SCENE_GENRE_COUNT, size=SEED_GENRE_COUNT, replace=False)
     seed_genres = tuple(scene_genres[i] for i in seed_idx)
 
     seed_ids: list[str] = []
@@ -124,7 +119,7 @@ def sample_trial(
         top = top_popular_in_genre(catalog, genre, TOP_POPULAR_POOL)
         if not top:
             raise TrialSamplingError(f"seed genre {genre!r} has no artists in the catalog")
-        take = min(config.seeds_per_genre, len(top))
+        take = min(SEEDS_PER_GENRE, len(top))
         for i in rng.choice(len(top), size=take, replace=False):
             if top[i] not in seen_seeds:
                 seen_seeds.add(top[i])
@@ -135,7 +130,7 @@ def sample_trial(
     for genre in scene_genres:
         in_range = artists_in_range(catalog, genre, lo, hi)
         eligible = [aid for aid in in_range if aid not in chosen]
-        take = min(config.candidates_per_genre, len(eligible))
+        take = min(CANDIDATES_PER_GENRE, len(eligible))
         if take == 0:
             continue
         for i in rng.choice(len(eligible), size=take, replace=False):
@@ -198,14 +193,6 @@ def make_vae_scorer(model: multvae.VaeModel, catalog: Catalog) -> RankFn:
     return score
 
 
-def _trial_stream(master_seed: int, bin_idx: int, trial_idx: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, bin_idx, trial_idx])
-
-
-def _algo_stream(master_seed: int, bin_idx: int, trial_idx: int, algo_idx: int) -> np.random.Generator:
-    return np.random.default_rng([master_seed, bin_idx, trial_idx, algo_idx])
-
-
 def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: ExperimentConfig) -> ExperimentReport:
     """Score every algorithm on the identical trial sequence for each
     popularity bin. Trials that cannot be sampled are counted and excluded
@@ -224,10 +211,10 @@ def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: Expe
     failed = [0] * len(config.bins)
     for b, bin_range in enumerate(config.bins):
         for t in range(config.trials_per_bin):
-            rng = _trial_stream(config.master_seed, b, t)
+            rng = np.random.default_rng([config.master_seed, b, t])
             for _ in range(MAX_TRIAL_RESAMPLES):
                 try:
-                    trial = sample_trial(catalog, config, bin_range, rng)
+                    trial = sample_trial(catalog, bin_range, rng)
                     break
                 except TrialSamplingError:
                     resamples[b] += 1
@@ -235,7 +222,8 @@ def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: Expe
                 failed[b] += 1
                 continue
             for algo_idx, (name, score) in enumerate(selected):
-                scores = np.asarray(score(trial, _algo_stream(config.master_seed, b, t, algo_idx)), dtype=float)
+                algo_rng = np.random.default_rng([config.master_seed, b, t, algo_idx])
+                scores = np.asarray(score(trial, algo_rng), dtype=float)
                 if scores.shape != (len(trial.candidate_ids),) or not np.isfinite(scores).all():
                     raise ValueError(f"scorer {name!r} must return one finite score per candidate")
                 ranked = sorted(zip((-scores).tolist(), trial.candidate_ids, trial.labels))

@@ -55,12 +55,6 @@ PARAM_NAMES = tuple(PARAM_SHAPES)
 ADAM_BLOCK = 1 << 15
 
 
-class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
-        self.epoch = epoch
-
-
 @dataclass(frozen=True)
 class VaeConfig:
     n_items: int
@@ -119,25 +113,13 @@ class TrainTrace:
 
 
 def init_model(config: VaeConfig, rng: np.random.Generator, index_hash: str = "") -> VaeModel:
-    n, h, d = config.n_items, config.hidden, config.bottleneck
-
-    def layer(fan_in: int, fan_out: int) -> np.ndarray:
-        return rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-
-    return VaeModel(
-        w_enc=layer(n, h),
-        b_enc=np.zeros(h),
-        w_mu=layer(h, d),
-        b_mu=np.zeros(d),
-        w_logvar=layer(h, d),
-        b_logvar=np.zeros(d),
-        w_dec=layer(d, h),
-        b_dec=np.zeros(h),
-        w_out=layer(h, n),
-        b_out=np.zeros(n),
-        config=config,
-        index_hash=index_hash,
-    )
+    """Weights drawn standard normal in ``PARAM_SHAPES`` order and scaled by
+    1/sqrt(fan-in); biases zero."""
+    params = {}
+    for name, axes in PARAM_SHAPES.items():
+        shape = tuple(getattr(config, axis) for axis in axes)
+        params[name] = rng.standard_normal(shape) / np.sqrt(shape[0]) if len(shape) == 2 else np.zeros(shape)
+    return VaeModel(config=config, index_hash=index_hash, **params)
 
 
 def _encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -292,8 +274,8 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
     """Train on every similarity row for ``config.epochs`` epochs of
     mini-batch Adam, each epoch visiting the rows in a fresh seeded order.
     Returns the model and its trace: the mean training loss per epoch and
-    the number of Adam updates. Raises TrainingDiverged, naming the epoch,
-    when a batch loss is not finite."""
+    the number of Adam updates. Raises FloatingPointError, naming the
+    epoch, when a batch loss is not finite."""
     if graph.n == 0:
         raise ValueError("cannot train on an empty graph")
     if config.n_items != graph.n:
@@ -317,7 +299,7 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, grads = loss_and_gradients(model, batch, rng)
             if not np.isfinite(loss):
-                raise TrainingDiverged(epoch)
+                raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
             updates += 1
             for name, param in model.params().items():
                 adam_step(

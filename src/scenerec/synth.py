@@ -116,6 +116,10 @@ def genre_names(count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
+# Attempts one similar list may take: a row short of same-genre targets
+# waits on cross-genre picks, ~1 / cross_genre_prob attempts each.
+MAX_ROW_ATTEMPTS = 100_000
+
 # Doubles read ahead per refill of the similar-list draw stream. Small
 # enough that the buffer stays cache-sized next to the catalog arrays.
 _DRAW_BLOCK = 16384
@@ -147,10 +151,11 @@ def _sample_row(stream: _DrawStream, cum: np.ndarray, exclude: int, k: int) -> n
     """Draw k distinct indices != ``exclude`` proportional to the weights
     behind the cumulative sum ``cum`` (successive sampling without
     replacement, realized by inverse-CDF draws with duplicate rejection):
-    each attempt reads 2k doubles, and attempts repeat until k are found."""
+    each attempt reads 2k doubles, and attempts repeat until k are found,
+    at most MAX_ROW_ATTEMPTS times."""
     chosen: list[int] = []
     seen: set[int] = {exclude}
-    while len(chosen) < k:
+    for _ in range(MAX_ROW_ATTEMPTS):
         draws = np.searchsorted(cum, stream.peek(2 * k) * cum[-1], side="right")
         stream.skip(2 * k)
         for j in draws.tolist():
@@ -158,8 +163,11 @@ def _sample_row(stream: _DrawStream, cum: np.ndarray, exclude: int, k: int) -> n
                 seen.add(j)
                 chosen.append(j)
                 if len(chosen) == k:
-                    break
-    return np.asarray(chosen, dtype=np.int64)
+                    return np.asarray(chosen, dtype=np.int64)
+    raise ValueError(
+        f"artist index {exclude}: {len(chosen)} of {k} similar artists after {MAX_ROW_ATTEMPTS} attempts; "
+        "raise --cross or lower --similar-per-artist"
+    )
 
 
 def _sample_rows(stream: _DrawStream, cum: np.ndarray, rows: np.ndarray, k: int, out: np.ndarray) -> None:

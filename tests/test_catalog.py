@@ -14,7 +14,6 @@ from scenerec.catalog import (
     UserVector,
     artists_in_range,
     load_catalog,
-    nearest_rank,
     popularity_percentiles,
     save_catalog,
     top_popular_in_genre,
@@ -216,34 +215,30 @@ class TestRoundTrip:
 class TestPercentiles:
     def test_singleton(self):
         catalog = build_catalog([("a", 10, [])])
-        rep = popularity_percentiles(catalog)
-        assert (rep.p25, rep.p50, rep.p75, rep.p95) == (10, 10, 10, 10)
+        assert popularity_percentiles(catalog) == (10, 10, 10, 10)
 
     def test_one_to_hundred(self):
         catalog = build_catalog([(f"a{i:03d}", i, []) for i in range(1, 101)])
-        rep = popularity_percentiles(catalog)
-        assert (rep.p25, rep.p50, rep.p75, rep.p95) == (25, 50, 75, 95)
+        assert popularity_percentiles(catalog) == (25, 50, 75, 95)
 
     def test_three_zeros_one_hundred(self):
         catalog = build_catalog([("a", 0, []), ("b", 0, []), ("c", 0, []), ("d", 100, [])])
-        rep = popularity_percentiles(catalog)
-        assert (rep.p25, rep.p50, rep.p75, rep.p95) == (0, 0, 0, 100)
+        assert popularity_percentiles(catalog) == (0, 0, 0, 100)
 
     def test_empty_subset_is_error(self):
         with pytest.raises(CatalogError, match="empty"):
             popularity_percentiles(build_catalog([]))
 
     def test_report_values_non_decreasing(self, six_artists):
-        rep = popularity_percentiles(six_artists)
-        assert rep.p25 <= rep.p50 <= rep.p75 <= rep.p95
+        p25, p50, p75, p95 = popularity_percentiles(six_artists)
+        assert p25 <= p50 <= p75 <= p95
 
     @given(st.lists(st.integers(0, 100), min_size=1, max_size=60))
     @settings(max_examples=200)
     def test_matches_sort_and_index_oracle(self, pops):
         ordered = sorted(pops)
-        for p in (25, 50, 75, 95):
-            expected = ordered[math.ceil(p * len(ordered) / 100) - 1]
-            assert nearest_rank(pops, p) == expected
+        expected = tuple(ordered[math.ceil(p * len(ordered) / 100) - 1] for p in (25, 50, 75, 95))
+        assert popularity_percentiles(build_catalog([(f"a{i:02d}", p, []) for i, p in enumerate(pops)])) == expected
 
 
 class TestArtistsInRange:

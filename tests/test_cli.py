@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,17 @@ class TestSynthCommand:
         code = run(["synth", "--from-fixture", fixture, "--seeds", "a", "--seed", 0, "--out", out])
         assert code == 1
         assert capsys.readouterr().err == f"error: {fixture}:1: not UTF-8 text (byte 0: invalid start byte)\n"
+        assert not out.exists()
+
+    def test_tiny_cross_weight_fails_in_one_line(self, tmp_path, capsys):
+        # same-genre targets are short of 20 for some rows, and cross-genre
+        # picks come once in ~1e9 draws
+        out = tmp_path / "c.jsonl"
+        start = time.perf_counter()
+        assert run(["synth", "--artists", 200, "--cross", 1e-9, "--seed", 1, "--out", out]) == 1
+        assert time.perf_counter() - start < 30
+        err = capsys.readouterr().err
+        assert err.startswith("error: artist index ") and "raise --cross" in err and err.count("\n") == 1
         assert not out.exists()
 
     def test_nan_exponent_fails_in_one_line(self, tmp_path, capsys):
@@ -347,6 +359,46 @@ class TestConfigFileAndEnv:
         assert run(["synth", "--config", cfg, "--out", tmp_path / "c.jsonl"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --config") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, values, message",
+        [
+            pytest.param("synth", {"seed": 1.5}, "--config {cfg}: seed: invalid int value: '1.5'", id="float seed"),
+            pytest.param("eval", {"trials": 2.5}, "--config {cfg}: trials: invalid int value: '2.5'",
+                         id="float trials"),
+            pytest.param("eval", {"bins": ["0-4"]}, "--config {cfg}: bins: expected a string or a number, got ['0-4']",
+                         id="list bins"),
+            pytest.param("eval", {"trials": True}, "--config {cfg}: trials: expected a string or a number, got True",
+                         id="bool trials"),
+            # a single --model string is one model, not a list of characters
+            pytest.param("eval", {"model": "wrmf=missing.npz"}, "[Errno 2] No such file or directory: 'missing.npz'",
+                         id="one model string"),
+        ],
+    )
+    def test_bad_config_values_fail_in_one_line(self, tmp_path, small_catalog_file, capsys, command, values,
+                                                message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        flags = {"synth": ["--artists", 50], "eval": ["--catalog", small_catalog_file, "--algorithms", "oracle"]}
+        seed = [] if "seed" in values else ["--seed", 1]
+        code = run([command, "--config", cfg, *flags[command], *seed, "--out", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_parse_like_flags(self, tmp_path, small_catalog_file, trained_models):
+        wrmf_path, vae_path = trained_models
+        cfg = tmp_path / "cfg.json"
+        # a list of models, numbers as strings, a bad value an explicit flag
+        # overrides, and a bad value of another subcommand's flag
+        values = {"model": [f"wrmf={wrmf_path}", f"multvae={vae_path}"], "trials": "2", "seed": 1.5, "k": 1.5}
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "r.csv"
+        code = run(["eval", "--config", cfg, "--catalog", small_catalog_file, "--bins", "0-9", "--seed", 3,
+                    "--out", out])
+        assert code == 0
+        with open(out) as fh:
+            assert [(r["algorithm"], r["n_trials"]) for r in csv.DictReader(fh)] == [("wrmf", "2"), ("multvae", "2")]
 
     def test_env_var_resolves_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCENEREC_DATA_DIR", str(tmp_path))

@@ -1,12 +1,13 @@
 import csv
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenerec.catalog import UserVector, top_popular_in_genre
+from scenerec.catalog import COMMON_GENRES, UserVector, top_popular_in_genre
 from scenerec.evaluation import (
     DEFAULT_BINS,
     ExperimentConfig,
@@ -84,8 +85,7 @@ class TestAuc:
 
 class TestSampleTrial:
     def test_full_catalog_low_bin_contract(self, synth_catalog):
-        config = ExperimentConfig(master_seed=5)
-        trial = sample_trial(synth_catalog, config, (0, 4), np.random.default_rng(1))
+        trial = sample_trial(synth_catalog, (0, 4), np.random.default_rng(1))
         assert len(trial.scene_genres) == 8
         assert len(trial.seed_genres) == 2
         assert set(trial.seed_genres) <= set(trial.scene_genres)
@@ -94,75 +94,72 @@ class TestSampleTrial:
         assert len(set(trial.candidate_ids)) == 80
 
     def test_candidates_within_bin_and_seed_candidate_disjoint(self, synth_catalog):
-        config = ExperimentConfig()
-        trial = sample_trial(synth_catalog, config, (5, 9), np.random.default_rng(3))
+        trial = sample_trial(synth_catalog, (5, 9), np.random.default_rng(3))
         for cid in trial.candidate_ids:
             pop = synth_catalog.artists[synth_catalog.index[cid]].popularity
             assert 5 <= pop <= 9
         assert not set(trial.candidate_ids) & set(trial.seed_ids)
 
     def test_seeds_come_from_top_popular_lists(self, synth_catalog):
-        trial = sample_trial(synth_catalog, ExperimentConfig(), (0, 4), np.random.default_rng(7))
+        trial = sample_trial(synth_catalog, (0, 4), np.random.default_rng(7))
         allowed = set()
         for g in trial.seed_genres:
             allowed.update(top_popular_in_genre(synth_catalog, g, 100))
         assert set(trial.seed_ids) <= allowed
 
     def test_relevance_marks_seed_genre_carriers(self, synth_catalog):
-        trial = sample_trial(synth_catalog, ExperimentConfig(), (0, 4), np.random.default_rng(11))
+        trial = sample_trial(synth_catalog, (0, 4), np.random.default_rng(11))
         seed_genres = set(trial.seed_genres)
         for cid, label in zip(trial.candidate_ids, trial.labels):
             carries = bool(seed_genres & set(synth_catalog.artists[synth_catalog.index[cid]].genres))
             assert label == carries
 
     def test_seed_genres_subset_across_many_draws(self, synth_catalog):
-        config = ExperimentConfig()
         rng = np.random.default_rng(0)
         for _ in range(200):
             try:
-                trial = sample_trial(synth_catalog, config, (0, 9), rng)
+                trial = sample_trial(synth_catalog, (0, 9), rng)
             except TrialSamplingError:
                 continue
             assert set(trial.seed_genres) <= set(trial.scene_genres)
 
     def test_short_genre_contributes_what_it_has(self):
-        # genre "small" has 7 artists at pop 0; "big" has plenty
-        specs = [(f"s{i}", 0, ["rock"]) for i in range(7)]
-        specs += [(f"b{i}", 0, ["jazz"]) for i in range(40)]
-        specs += [(f"p{i}", 90, ["rock", "jazz"]) for i in range(4)]
+        # every other genre has 7 artists at pop 0, the rest have 40, plus 4
+        # popular ones; each artist has one genre, so only seed genres lose
+        # in-bin artists to the seeds
+        in_bin = {g: 7 if i % 2 else 40 for i, g in enumerate(COMMON_GENRES)}
+        specs = [(f"{g}/{j}", 0, [g]) for g, count in in_bin.items() for j in range(count)]
+        specs += [(f"{g}/top{j}", 90, [g]) for g in COMMON_GENRES for j in range(4)]
         catalog = build_catalog(specs)
-        config = ExperimentConfig(
-            scene_genre_count=2, seed_genre_count=1, genre_pool=("rock", "jazz"), seeds_per_genre=2
-        )
-        trial = sample_trial(catalog, config, (0, 4), np.random.default_rng(2))
-        rock = [c for c in trial.candidate_ids if c.startswith("s")]
-        jazz = [c for c in trial.candidate_ids if c.startswith("b")]
-        assert len(rock) == 7
-        assert len(jazz) == 10
+        taken = set()
+        for seed in range(5):
+            trial = sample_trial(catalog, (0, 4), np.random.default_rng(seed))
+            for g in set(trial.scene_genres) - set(trial.seed_genres):
+                taken.add(sum(c.startswith(f"{g}/") for c in trial.candidate_ids))
+        assert taken == {7, 10}
 
     def test_missing_seed_genre_aborts(self):
+        # only rock has artists, so every draw has a seed genre with none
         catalog = build_catalog([("a", 10, ["rock"]), ("b", 20, ["rock"])])
-        config = ExperimentConfig(scene_genre_count=2, seed_genre_count=2, genre_pool=("rock", "zydeco"))
-        with pytest.raises(TrialSamplingError):
-            # zydeco has no artists at all; both genres become seed genres
-            sample_trial(catalog, config, (0, 100), np.random.default_rng(0))
+        for seed in range(5):
+            with pytest.raises(TrialSamplingError, match="has no artists"):
+                sample_trial(catalog, (0, 100), np.random.default_rng(seed))
 
     def test_single_class_candidates_abort(self):
-        # only one genre has in-range artists and it is the seed genre
-        catalog = build_catalog([(f"a{i}", 5, ["rock"]) for i in range(30)] + [("top", 90, ["jazz"])])
-        config = ExperimentConfig(scene_genre_count=2, seed_genre_count=2, genre_pool=("rock", "jazz"))
-        with pytest.raises(TrialSamplingError):
-            sample_trial(catalog, config, (0, 9), np.random.default_rng(1))
+        # in-range artists carry every genre, so every candidate is relevant
+        catalog = build_catalog([(f"a{i}", 5, COMMON_GENRES) for i in range(30)] + [("top", 90, COMMON_GENRES)])
+        for seed in range(5):
+            with pytest.raises(TrialSamplingError, match="one relevance class"):
+                sample_trial(catalog, (0, 9), np.random.default_rng(seed))
 
     def test_deterministic_given_stream(self, synth_catalog):
-        config = ExperimentConfig()
-        a = sample_trial(synth_catalog, config, (10, 14), np.random.default_rng(99))
-        b = sample_trial(synth_catalog, config, (10, 14), np.random.default_rng(99))
+        a = sample_trial(synth_catalog, (10, 14), np.random.default_rng(99))
+        b = sample_trial(synth_catalog, (10, 14), np.random.default_rng(99))
         assert a == b
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(seed_genre_count=9, scene_genre_count=8)
+        # the trial protocol is fixed; a config sets only bins, trial count and seed
+        assert [f.name for f in fields(ExperimentConfig)] == ["bins", "trials_per_bin", "master_seed"]
         with pytest.raises(ValueError):
             ExperimentConfig(bins=((5, 3),))
         with pytest.raises(ValueError):
@@ -213,13 +210,9 @@ class TestRunExperiment:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_unsampleable_bin_reported_empty(self):
-        catalog = build_catalog(
-            [(f"a{i}", 10, ["rock"]) for i in range(20)] + [(f"b{i}", 12, ["jazz"]) for i in range(20)]
-        )
-        config = ExperimentConfig(
-            bins=((50, 54),), trials_per_bin=5, scene_genre_count=2, seed_genre_count=1,
-            genre_pool=("rock", "jazz"), master_seed=1,
-        )
+        # every genre has artists, none of them in the bin
+        catalog = build_catalog([(f"{g}/{j}", 10 + j, [g]) for g in COMMON_GENRES for j in range(5)])
+        config = ExperimentConfig(bins=((50, 54),), trials_per_bin=5, master_seed=1)
         report = run_experiment(catalog, {"oracle": oracle_scorer}, config)
         row = report.rows[0]
         assert row.n_trials == 0
