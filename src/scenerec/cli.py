@@ -204,6 +204,16 @@ def _config_value(action: argparse.Action, value: object) -> object:
         return ValueError(f"{action.dest}: invalid {action.type.__name__} value: {str(value)!r}")
 
 
+class _AppendOverDefault(argparse._AppendAction):
+    """``append``, except that the first explicit use drops the default (a
+    --config list) instead of extending it, so explicit flags win."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenerec",
@@ -252,7 +262,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="run the popularity-bin benchmark", formatter_class=fmt)
     p_eval.add_argument("--config", help="JSON file of flag defaults")
     p_eval.add_argument("--catalog", help="catalog path")
-    p_eval.add_argument("--model", action="append", help="name=path, repeatable (wrmf=..., multvae=...)")
+    p_eval.add_argument("--model", action=_AppendOverDefault, help="name=path, repeatable (wrmf=..., multvae=...)")
     p_eval.add_argument(
         "--algorithms",
         help="comma-separated subset to run; 'random' and 'oracle' are built in (default: the given models)",

@@ -186,9 +186,13 @@ def make_wrmf_scorer(model: wrmf.FactorModel, catalog: Catalog) -> RankFn:
 
 
 def make_vae_scorer(model: multvae.VaeModel, catalog: Catalog) -> RankFn:
+    # the scorer, not the model, holds the output-row copy, so it is freed
+    # with the scorer
+    rows = multvae.output_rows(model)
+
     def score(trial: Trial, rng: np.random.Generator) -> np.ndarray:
         user = UserVector.from_ids(catalog, trial.seed_ids)
-        return multvae.rank_candidates_vae(model, user, [catalog.index[cid] for cid in trial.candidate_ids])
+        return multvae.rank_candidates_vae(model, user, [catalog.index[cid] for cid in trial.candidate_ids], rows)
 
     return score
 

@@ -20,7 +20,12 @@ dense products.
 
 Inference never samples and never drops inputs: the latent is the encoder
 mean, so the same user vector always produces the same scores;
-``evaluation.run_experiment`` ranks them.
+``evaluation.run_experiment`` ranks them. It decodes candidate rows only:
+a candidate's score reads its own row of ``output_rows(model)``, a
+candidate-major copy of ``w_out``, and sums it against the decoder's hidden
+layer row by row. A score therefore does not depend on which other
+candidates are scored or in what order, and ``predict``, the same sum over
+every row, agrees with it bit for bit.
 """
 
 from __future__ import annotations
@@ -318,19 +323,31 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
     return model, TrainTrace(tuple(train_losses), updates)
 
 
-def predict(model: VaeModel, user: UserVector) -> np.ndarray:
-    """Deterministic scores over all artists for a seed-indicator vector:
-    dropout disabled, latent fixed at the encoder mean."""
+def output_rows(model: VaeModel) -> np.ndarray:
+    """``w_out`` as a C-contiguous (n_items, hidden) copy, one row per
+    artist: the layout candidate scoring reads. A caller scoring many users
+    builds it once; the model does not keep it."""
+    return np.ascontiguousarray(model.w_out.T)
+
+
+def rank_candidates_vae(
+    model: VaeModel, user: UserVector, candidates: Sequence[int] | slice, rows: np.ndarray
+) -> np.ndarray:
+    """Deterministic scores of the candidate artist indices, in candidate
+    order, for a seed-indicator vector: dropout disabled, latent fixed at
+    the encoder mean, each output read from the candidate's own row of
+    ``rows`` (``output_rows(model)``). It does not sort; the name is kept
+    for the tracer's ``multvae.rank`` span."""
     if user.n != model.config.n_items:
         raise ValueError(f"user vector has dimension {user.n} but model expects {model.config.n_items}")
     _, mu, _, _ = _encode(model, user.to_dense())
-    return _decode(model, mu)[1]
+    h_dec = np.tanh(mu @ model.w_dec + model.b_dec)
+    return (rows[candidates] * h_dec).sum(axis=1) + model.b_out[candidates]
 
 
-def rank_candidates_vae(model: VaeModel, user: UserVector, candidates: Sequence[int]) -> np.ndarray:
-    """``predict`` scores of the candidate artist indices, in candidate order.
-    It does not sort; the name is kept for the tracer's ``multvae.rank`` span."""
-    return predict(model, user)[candidates]
+def predict(model: VaeModel, user: UserVector) -> np.ndarray:
+    """``rank_candidates_vae`` scores of every artist, in index order."""
+    return rank_candidates_vae(model, user, slice(None), output_rows(model))
 
 
 def save_vae_model(model: VaeModel, path: str | Path) -> None:

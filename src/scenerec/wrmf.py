@@ -26,8 +26,10 @@ r >= k, where it is the smaller system, and for the whole half-sweep when
 lam = 0, where G may be singular. Both paths are exact to rounding.
 
 A user is a sparse indicator vector over artists; ``fold_in_user`` embeds it
-with the direct closed form, and candidates are scored by dot product
-against their column factors; ``evaluation.run_experiment`` ranks the scores.
+as one more row, through the same ``woodbury_rows`` solve as the training
+rows (W is cached on the model) or, for r >= k or lam = 0, ``solve_row``.
+Candidates are scored by dot product against their column factors;
+``evaluation.run_experiment`` ranks the scores.
 """
 
 from __future__ import annotations
@@ -91,6 +93,12 @@ class FactorModel:
         y = self.col_factors
         return y.T @ y + self.config.lam * np.eye(self.config.k)
 
+    @cached_property
+    def woodbury_w(self) -> np.ndarray:
+        """W = Y G^-1 with G = ``gram_reg``, the factor of every Woodbury
+        fold-in; formed once per model (n x k), as ``half_sweep`` forms it."""
+        return np.linalg.solve(self.gram_reg, self.col_factors.T).T
+
 
 def solve_row(obs: np.ndarray, other: np.ndarray, gram_reg: np.ndarray, alpha: float) -> np.ndarray:
     """Exact minimizer of the weighted ridge problem for one row:
@@ -103,6 +111,18 @@ def solve_row(obs: np.ndarray, other: np.ndarray, gram_reg: np.ndarray, alpha: f
     a = gram_reg + alpha * (m.T @ m)
     b = (1.0 + alpha) * m.sum(axis=0)
     return np.linalg.solve(a, b)
+
+
+def woodbury_rows(w: np.ndarray, other: np.ndarray, obs: np.ndarray, alpha: float) -> np.ndarray:
+    """The ``solve_row`` solution for a block of rows with r observations
+    each, ``obs`` a (rows, r) index array, through the Woodbury identity
+    with W = other G^-1 (see the module docstring). Needs lam > 0, and is
+    the cheaper solve for r < k."""
+    r = obs.shape[1]
+    w_obs = w[obs]
+    kmat = np.eye(r) + alpha * (w_obs @ other[obs].transpose(0, 2, 1))
+    u = np.linalg.solve(kmat, np.ones((obs.shape[0], r, 1)))
+    return (1.0 + alpha) * (u.transpose(0, 2, 1) @ w_obs)[:, 0]
 
 
 def _equal_degree_blocks(
@@ -134,11 +154,7 @@ def half_sweep(graph: SimilarityGraph, this: np.ndarray, other: np.ndarray, lam:
     if stacked.any():
         w = np.linalg.solve(gram_reg, other.T).T
         for block, obs in _equal_degree_blocks(graph, degrees, stacked, lambda r: 8 * (2 * r * k + 3 * r * r + k)):
-            r = obs.shape[1]
-            w_obs = w[obs]
-            kmat = np.eye(r) + alpha * (w_obs @ other[obs].transpose(0, 2, 1))
-            u = np.linalg.solve(kmat, np.ones((block.size, r, 1)))
-            this[block] = (1.0 + alpha) * (u.transpose(0, 2, 1) @ w_obs)[:, 0]
+            this[block] = woodbury_rows(w, other, obs, alpha)
     for i in np.flatnonzero((degrees > 0) & ~stacked):
         this[i] = solve_row(graph.row(i), other, gram_reg, alpha)
 
@@ -199,13 +215,17 @@ def train_wrmf(graph: SimilarityGraph, config: WrmfConfig, *, index_hash: str = 
 
 
 def fold_in_user(model: FactorModel, user: UserVector) -> np.ndarray:
-    """Embed a seed-indicator vector into the factor space via the same
-    closed-form ridge solve used for row updates."""
-    if user.indices.size == 0:
+    """Embed a seed-indicator vector into the factor space as one more row
+    of X: the same solve ``half_sweep`` gives a training row with these
+    observations."""
+    obs, config = user.indices, model.config
+    if obs.size == 0:
         raise ValueError("fold-in requires at least one seed artist")
     if user.n != model.n:
         raise ValueError(f"user vector has dimension {user.n} but model has {model.n}")
-    return solve_row(user.indices, model.col_factors, model.gram_reg, model.config.alpha)
+    if obs.size < config.k and config.lam > 0:
+        return woodbury_rows(model.woodbury_w, model.col_factors, obs[None], config.alpha)[0]
+    return solve_row(obs, model.col_factors, model.gram_reg, config.alpha)
 
 
 def rank_candidates(model: FactorModel, user_vec: np.ndarray, candidates: Sequence[int]) -> np.ndarray:

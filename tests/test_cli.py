@@ -400,6 +400,17 @@ class TestConfigFileAndEnv:
         with open(out) as fh:
             assert [(r["algorithm"], r["n_trials"]) for r in csv.DictReader(fh)] == [("wrmf", "2"), ("multvae", "2")]
 
+    def test_explicit_model_replaces_config_models(self, tmp_path, small_catalog_file, trained_models):
+        wrmf_path, vae_path = trained_models
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": [f"wrmf={wrmf_path}"]}))
+        out = tmp_path / "r.csv"
+        code = run(["eval", "--config", cfg, "--catalog", small_catalog_file, "--model", f"multvae={vae_path}",
+                    "--bins", "0-9", "--trials", 2, "--seed", 3, "--out", out])
+        assert code == 0
+        with open(out) as fh:
+            assert [r["algorithm"] for r in csv.DictReader(fh)] == ["multvae"]
+
     def test_env_var_resolves_relative_paths(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCENEREC_DATA_DIR", str(tmp_path))
         assert run(["synth", "--artists", 50, "--seed", 2, "--out", "env.jsonl"]) == 0

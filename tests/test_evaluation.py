@@ -264,6 +264,31 @@ class TestRunExperiment:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "7ebbc12e807514202793cdd5bf555affd69ae8ad91972dfb693a0c2ad1f027b8"
 
+    def test_model_scored_trials_are_pinned(self, tmp_path):
+        # Digest of the per-trial CSV of both models and both references,
+        # recorded before fold-in took the Woodbury path and the autoencoder
+        # decoded candidate rows only. An AUC moves only if a rank moves, so
+        # rounding-level score changes leave the bytes alone; a change that
+        # moves an AUC updates the digest and says why.
+        catalog = generate_catalog(SynthConfig(seed=11, artist_count=300))
+        wrmf_model = train_wrmf(catalog.graph, WrmfConfig(k=16, sweeps=3, seed=1))
+        vae_model, _ = train_multvae(
+            catalog.graph, VaeConfig(n_items=catalog.n, hidden=32, bottleneck=8, epochs=3, seed=1)
+        )
+        scorers = {
+            "wrmf": make_wrmf_scorer(wrmf_model, catalog),
+            "multvae": make_vae_scorer(vae_model, catalog),
+            "random": random_scorer,
+            "oracle": oracle_scorer,
+        }
+        config = ExperimentConfig(bins=((0, 9), (10, 19), (20, 39)), trials_per_bin=8, master_seed=5)
+        report = run_experiment(catalog, scorers, config)
+        path = tmp_path / "trials.csv"
+        write_trials_csv(report, path)
+        assert [row.n_trials for row in report.rows] == [8] * 12
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "ae813eb7c3358128b9367c1fa70fec036b7e72c59cbf1f4c402d28eb69efb33c"
+
     def test_means_within_unit_interval(self, synth_catalog):
         config = ExperimentConfig(bins=((0, 4), (5, 9)), trials_per_bin=25, master_seed=6)
         report = run_experiment(synth_catalog, {"random": random_scorer}, config)

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenerec.catalog import SimilarityGraph, UserVector
 from scenerec.multvae import (
@@ -11,6 +15,7 @@ from scenerec.multvae import (
     input_dropout,
     load_vae_model,
     loss_and_gradients,
+    output_rows,
     predict,
     rank_candidates_vae,
     rows_to_dense,
@@ -376,29 +381,58 @@ class TestPredict:
         assert set(np.argsort(-scores)[:5]) == {0, 1, 2, 3, 4}
 
 
+@lru_cache(maxsize=None)
+def default_width_model():
+    """An untrained model at the default hidden width, where a BLAS product
+    over a subset of output columns need not match the full one."""
+    model = tiny_model(seed=8, n=300, hidden=600, bottleneck=20)
+    return model, output_rows(model)
+
+
 class TestRanking:
     @pytest.fixture
     def setup(self):
         model = tiny_model(seed=4, n=6)
         user = UserVector(np.asarray([0], dtype=np.int64), 6)
-        return model, user
+        return model, user, output_rows(model)
 
     def test_input_order_is_irrelevant(self, setup):
-        model, user = setup
-        first = rank_candidates_vae(model, user, [1, 4, 2])
-        second = rank_candidates_vae(model, user, [2, 1, 4])
+        model, user, rows = setup
+        first = rank_candidates_vae(model, user, [1, 4, 2], rows)
+        second = rank_candidates_vae(model, user, [2, 1, 4], rows)
         np.testing.assert_array_equal(second, first[[2, 0, 1]])
 
     def test_singleton(self, setup):
-        model, user = setup
-        scores = rank_candidates_vae(model, user, [3])
+        model, user, rows = setup
+        scores = rank_candidates_vae(model, user, [3], rows)
         assert scores.shape == (1,) and scores[0] == predict(model, user)[3]
 
     def test_matches_brute_force_sort_of_predict(self, setup):
-        model, user = setup
+        model, user, rows = setup
         candidates = [5, 0, 3, 1]
         scores = predict(model, user)
-        np.testing.assert_array_equal(rank_candidates_vae(model, user, candidates), [scores[c] for c in candidates])
+        np.testing.assert_array_equal(rank_candidates_vae(model, user, candidates, rows), [scores[c] for c in candidates])
+
+    def test_output_rows_are_a_candidate_major_copy(self, setup):
+        model, _, rows = setup
+        assert rows.flags.c_contiguous and np.array_equal(rows, model.w_out.T)
+        assert not np.shares_memory(rows, model.w_out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_score_depends_on_the_candidate_only(self, data):
+        # exact, not approximate: a candidate's score must not change with
+        # the order of the list or with which other candidates it holds
+        model, rows = default_width_model()
+        n = model.config.n_items
+        items = st.integers(0, n - 1)
+        user = UserVector(np.asarray(sorted(data.draw(st.sets(items, min_size=1, max_size=20))), dtype=np.int64), n)
+        candidates = data.draw(st.lists(items, min_size=1, max_size=80, unique=True))
+        shuffled = data.draw(st.permutations(candidates))
+        others = data.draw(st.lists(st.sampled_from(candidates), unique=True))
+        full = predict(model, user)
+        for listed in (candidates, shuffled, others):
+            np.testing.assert_array_equal(rank_candidates_vae(model, user, listed, rows), full[listed])
 
 
 class TestSerialization:

@@ -221,7 +221,8 @@ class TestFoldIn:
             if obs.size == 0:
                 continue
             user = UserVector(obs, graph.n)
-            assert np.allclose(fold_in_user(model, user), x[i], rtol=1e-12, atol=1e-14)
+            # fold-in and the row update share woodbury_rows / solve_row
+            assert np.array_equal(fold_in_user(model, user), x[i])
 
     def test_matches_dense_ridge_oracle(self):
         rng = np.random.default_rng(40)
@@ -237,6 +238,49 @@ class TestFoldIn:
             conf = np.diag(1.0 + 15.0 * p)
             expected = np.linalg.solve(y.T @ conf @ y + 0.4 * np.eye(k), y.T @ conf @ p)
             assert np.abs(fold_in_user(model, user) - expected).max() < 1e-10
+
+
+    @staticmethod
+    def dense_ridge(y, user, lam, alpha):
+        p = user.to_dense()
+        conf = np.diag(1.0 + alpha * p)
+        return np.linalg.solve(y.T @ conf @ y + lam * np.eye(y.shape[1]), y.T @ conf @ p)
+
+    @staticmethod
+    def record_paths(monkeypatch):
+        taken = []
+        for name in ("solve_row", "woodbury_rows"):
+            original = getattr(wrmf, name)
+
+            def spy(*args, name=name, original=original):
+                taken.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(wrmf, name, spy)
+        return taken
+
+    def test_woodbury_fold_in_matches_dense_ridge_oracle(self, monkeypatch):
+        taken = self.record_paths(monkeypatch)
+        rng = np.random.default_rng(41)
+        n, k, lam, alpha = 60, 16, 0.1, 15.0
+        y = rng.standard_normal((n, k)) / np.sqrt(k)
+        model = FactorModel(np.zeros((n, k)), y, WrmfConfig(k=k, lam=lam, alpha=alpha))
+        for r in range(1, k):
+            user = UserVector(np.sort(rng.choice(n, size=r, replace=False)).astype(np.int64), n)
+            assert np.abs(fold_in_user(model, user) - self.dense_ridge(y, user, lam, alpha)).max() < 1e-10
+        assert taken == ["woodbury_rows"] * (k - 1)
+
+    @pytest.mark.parametrize("lam, r", [(0.1, 6), (0.1, 9), (0.0, 2)], ids=["r=k", "r>k", "lam=0"])
+    def test_direct_solve_for_r_at_least_k_or_lam_zero(self, monkeypatch, lam, r):
+        taken = self.record_paths(monkeypatch)
+        rng = np.random.default_rng(42)
+        n, k = 12, 6
+        y = rng.standard_normal((n, k))
+        model = FactorModel(np.zeros((n, k)), y, WrmfConfig(k=k, lam=lam, alpha=15.0))
+        user = UserVector(np.sort(rng.choice(n, size=r, replace=False)).astype(np.int64), n)
+        np.testing.assert_allclose(fold_in_user(model, user), self.dense_ridge(y, user, lam, 15.0), rtol=1e-9)
+        assert taken == ["solve_row"]
+        assert "woodbury_w" not in vars(model)
 
 
 class TestRanking:
