@@ -137,10 +137,10 @@ def sample_trial(catalog: Catalog, bin_range: tuple[int, int], rng: np.random.Ge
             chosen.add(eligible[i])
             candidate_ids.append(eligible[i])
 
-    seed_genre_set = set(seed_genres)
-    labels = tuple(
-        any(g in seed_genre_set for g in catalog.artists[catalog.index[cid]].genres) for cid in candidate_ids
-    )
+    # relevant: a member of some seed genre
+    seed_genre_members = np.concatenate([catalog.genre_ranking[g].indices for g in seed_genres])
+    candidate_idx = [catalog.index[cid] for cid in candidate_ids]
+    labels = tuple(np.isin(candidate_idx, seed_genre_members).tolist())
     if not any(labels) or all(labels):
         raise TrialSamplingError(
             f"bin [{lo}, {hi}]: candidates are all of one relevance class ({len(candidate_ids)} candidates)"

@@ -11,12 +11,18 @@ driven purely by input dropout. Optimization is mini-batch Adam with
 gradients written out by hand (no autograd), which keeps the whole model a
 deterministic function of its seed.
 
-The encoder multiplies only the input columns that are nonzero in some row
-of the batch (a similarity row has ~20 among thousands), and the ``w_enc``
-gradient is zero outside those rows. Adam keeps dense moments and applies
-its elementwise passes in cache-sized blocks. Neither changes the
-arithmetic beyond summation order, and the rng stream is the same as with
-dense products.
+A batch reaches the training step as the coordinates of its ones, read
+from the graph's CSR arrays, never as a dense (batch, n_items) matrix. The
+dropout draw is one uniform per batch cell, the rng stream of dense
+dropout, and it is read only at the ones. The encoder multiplies only the
+input columns that survive in some row of the batch (a similarity row has
+~20 among thousands), the reconstruction target is subtracted at the ones
+only, and the ``w_enc`` gradient holds only those columns' rows. Adam takes
+that row-sparse gradient: it decays every moment, adds the gradient at its
+rows only, and applies its elementwise passes in cache-sized blocks. Every
+element sees the same floating-point operations, in the same order, as in
+training on dense matrices, so the trained weights equal that training's
+bit for bit.
 
 Inference never samples and never drops inputs: the latent is the encoder
 mean, so the same user vector always produces the same scores;
@@ -127,14 +133,12 @@ def init_model(config: VaeConfig, rng: np.random.Generator, index_hash: str = ""
     return VaeModel(config=config, index_hash=index_hash, **params)
 
 
-def _encode(model: VaeModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Encoder hidden layer and latent mean for input rows ``x`` (one row or
-    a batch), plus ``used``, the columns nonzero in some row, and
-    ``x[..., used]``; only those columns enter the product."""
-    used = np.flatnonzero(np.atleast_2d(x).any(axis=0))
-    x_used = x[..., used]
+def _encode(model: VaeModel, used: np.ndarray, x_used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder hidden layer and latent mean for input rows (one row or a
+    batch) whose nonzero columns all lie in ``used``; ``x_used`` holds the
+    rows' values at those columns, and only they enter the product."""
     h_enc = np.tanh(x_used @ model.w_enc[used] + model.b_enc)
-    return h_enc, h_enc @ model.w_mu + model.b_mu, used, x_used
+    return h_enc, h_enc @ model.w_mu + model.b_mu
 
 
 def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,32 +149,43 @@ def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h_dec, recon
 
 
-def input_dropout(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero each coordinate independently with probability p; survivors are
-    scaled by 1/(1-p) so inference needs no rescaling."""
+def input_dropout(
+    rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], p: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Zero each coordinate of a binary batch of ``shape`` whose ones sit at
+    (``rows``, ``cols``) independently with probability p: one uniform is
+    drawn per batch cell, none when p is 0. Returns the surviving ones'
+    coordinates and their common value, 1/(1-p), so inference needs no
+    rescaling."""
     if p == 0.0:
-        return x
-    keep = rng.random(x.shape) >= p
-    return x * keep / (1.0 - p)
+        return rows, cols, 1.0
+    keep = rng.random(shape)[rows, cols] >= p
+    return rows[keep], cols[keep], 1.0 / (1.0 - p)
 
 
 def loss_and_gradients(
-    model: VaeModel, batch: np.ndarray, rng: np.random.Generator
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Training-mode loss and exact backpropagated gradients for one batch
-    of dense rows. All noise (dropout mask, latent sample) comes from
-    ``rng``, so the pair (loss, gradients) is a deterministic function of
-    the model, the batch, and the rng state."""
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise ValueError("batch must be a nonempty 2-d array of rows")
-    if batch.shape[1] != model.config.n_items:
-        raise ValueError(f"batch rows have {batch.shape[1]} items, model expects {model.config.n_items}")
+    model: VaeModel, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], rng: np.random.Generator
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Training-mode loss and exact backpropagated gradients for one binary
+    batch of ``shape`` (rows, n_items) with ones at (``rows``, ``cols``),
+    plus ``used``, the sorted input columns that survive dropout in some
+    row: the ``w_enc`` gradient holds only those rows, and its other rows
+    are zero. All noise (dropout mask, latent sample) comes from ``rng``, so
+    the result is a deterministic function of the model, the batch, and the
+    rng state."""
+    b, n = shape
+    if b < 1:
+        raise ValueError("batch must have at least one row")
+    if n != model.config.n_items:
+        raise ValueError(f"batch rows have {n} items, model expects {model.config.n_items}")
     cfg = model.config
-    b = batch.shape[0]
     beta = cfg.kl_weight
 
-    x_drop = input_dropout(batch, cfg.dropout, rng)
-    h_enc, mu, used, x_used = _encode(model, x_drop)
+    kept_rows, kept_cols, value = input_dropout(rows, cols, shape, cfg.dropout, rng)
+    used, kept_pos = np.unique(kept_cols, return_inverse=True)
+    x_used = np.zeros((b, used.size))
+    x_used[kept_rows, kept_pos] = value
+    h_enc, mu = _encode(model, used, x_used)
     logvar = h_enc @ model.w_logvar + model.b_logvar
     sigma = np.exp(0.5 * logvar)
     eps = rng.standard_normal(mu.shape)
@@ -178,7 +193,7 @@ def loss_and_gradients(
     h_dec, recon = _decode(model, z)
 
     resid = recon
-    resid -= batch
+    resid[rows, cols] -= 1.0
     rec_loss = float(np.mean(np.square(resid)))
     kl_loss = float(np.mean(-0.5 * np.sum(1.0 + logvar - np.square(mu) - np.exp(logvar), axis=1)))
     loss = rec_loss + beta * kl_loss
@@ -194,11 +209,10 @@ def loss_and_gradients(
     g_h_enc = g_mu @ model.w_mu.T + g_logvar @ model.w_logvar.T
     g_a_enc = g_h_enc * (1.0 - np.square(h_enc))
 
-    # unused columns had zero input, so their w_enc gradient rows are zero
-    g_w_enc = np.zeros_like(model.w_enc)
-    g_w_enc[used] = x_used.T @ g_a_enc
+    # columns outside ``used`` had zero input, so their w_enc gradient rows
+    # are zero and are left out
     grads = {
-        "w_enc": g_w_enc,
+        "w_enc": x_used.T @ g_a_enc,
         "b_enc": g_a_enc.sum(axis=0),
         "w_mu": h_enc.T @ g_mu,
         "b_mu": g_mu.sum(axis=0),
@@ -209,18 +223,19 @@ def loss_and_gradients(
         "w_out": h_dec.T @ g_out,
         "b_out": g_out.sum(axis=0),
     }
-    return loss, grads
+    return loss, grads, used
 
 
 def _blocks(shape: tuple[int, ...]) -> Iterator[tuple]:
     """Index tuples that cut an array of ``shape`` into basic-slice views of
     at most ADAM_BLOCK elements: runs of whole rows along axis 0, or, when
-    one row is larger, each row cut the same way."""
+    one row is larger, each row cut the same way. The first index is always
+    a slice along axis 0."""
     row_size = math.prod(shape[1:])
     if row_size > ADAM_BLOCK:
         for i in range(shape[0]):
             for rest in _blocks(shape[1:]):
-                yield (i, *rest)
+                yield (slice(i, i + 1), *rest)
         return
     rows = ADAM_BLOCK // max(row_size, 1)
     for start in range(0, shape[0], rows):
@@ -237,9 +252,12 @@ def adam_step(
     beta1: float,
     beta2: float,
     eps: float,
+    rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One bias-corrected Adam update, applied in place to ``param``, ``m``
-    and ``v``, which are returned; t counts updates starting at 1.
+    and ``v``, which are returned; t counts updates starting at 1. When
+    ``rows`` (sorted, unique indices along axis 0) is given, ``grad`` holds
+    only those rows and every other row's gradient is zero.
 
     Both bias corrections fold into one scalar step size and one scaled eps:
     lr * m_hat / (sqrt(v_hat) + eps) equals step * m / (sqrt(v) + eps_hat)
@@ -248,23 +266,33 @@ def adam_step(
     so it is overwritten. The elementwise passes run block by block (see
     ``_blocks``), so each block's arrays stay in cache between passes; every
     element sees the same operations, so the result does not depend on the
-    blocking."""
+    blocking. With ``rows``, the gradient terms are added at those rows
+    only; adding a zero gradient leaves a moment unchanged, so the result
+    equals the dense call's on the zero-filled gradient, bit for bit."""
     correction2 = np.sqrt(1.0 - beta2**t)
     step = lr * correction2 / (1.0 - beta1**t)
+    scratch = None if rows is None else np.empty(ADAM_BLOCK)
     for block in _blocks(param.shape):
-        p, g, mb, vb = param[block], grad[block], m[block], v[block]
+        p, mb, vb = param[block], m[block], v[block]
+        if rows is None:
+            at, g = ..., grad[block]
+            out = g
+        else:
+            lo, hi = np.searchsorted(rows, (block[0].start, block[0].stop))
+            at, g = rows[lo:hi] - block[0].start, grad[(slice(lo, hi), *block[1:])]
+            out = scratch[: mb.size].reshape(mb.shape)
         mb *= beta1
         vb *= beta2
         g *= 1.0 - beta1
-        mb += g
+        mb[at] += g
         np.square(g, out=g)
         g *= (1.0 - beta2) / (1.0 - beta1) ** 2
-        vb += g
-        np.sqrt(vb, out=g)
-        g += eps * correction2
-        np.divide(mb, g, out=g)
-        g *= step
-        p -= g
+        vb[at] += g
+        np.sqrt(vb, out=out)
+        out += eps * correction2
+        np.divide(mb, out, out=out)
+        out *= step
+        p -= out
     return param, m, v
 
 
@@ -273,6 +301,19 @@ def rows_to_dense(graph: SimilarityGraph, indices: Sequence[int]) -> np.ndarray:
     for pos, i in enumerate(indices):
         dense[pos, graph.row(i)] = 1.0
     return dense
+
+
+def rows_to_coords(graph: SimilarityGraph, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the ones of ``rows_to_dense(graph, indices)``, row by
+    row: batch row positions and artist columns, read from the CSR arrays."""
+    starts = graph.indptr[indices]
+    counts = graph.indptr[indices + 1] - starts
+    rows = np.repeat(np.arange(len(indices)), counts)
+    # each edge's offset in graph.indices: its row's start plus its rank
+    # within the row
+    firsts = np.cumsum(counts) - counts
+    cols = graph.indices[np.arange(rows.size) + np.repeat(starts - firsts, counts)]
+    return rows, cols
 
 
 def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str = "") -> tuple[VaeModel, TrainTrace]:
@@ -298,11 +339,11 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
         epoch_loss = 0.0
         for start in range(0, graph.n, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            batch = rows_to_dense(graph, chunk)
+            rows, cols = rows_to_coords(graph, chunk)
             # divergence surfaces as a non-finite loss and is raised below;
             # the overflow warnings on the way there are just noise
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = loss_and_gradients(model, batch, rng)
+                loss, grads, enc_rows = loss_and_gradients(model, rows, cols, (len(chunk), graph.n), rng)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
             updates += 1
@@ -317,6 +358,7 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
                     config.adam_beta1,
                     config.adam_beta2,
                     config.adam_eps,
+                    rows=enc_rows if name == "w_enc" else None,
                 )
             epoch_loss += loss * len(chunk)
         train_losses.append(epoch_loss / graph.n)
@@ -340,7 +382,7 @@ def rank_candidates_vae(
     for the tracer's ``multvae.rank`` span."""
     if user.n != model.config.n_items:
         raise ValueError(f"user vector has dimension {user.n} but model expects {model.config.n_items}")
-    _, mu, _, _ = _encode(model, user.to_dense())
+    _, mu = _encode(model, user.indices, np.ones(user.indices.size))
     h_dec = np.tanh(mu @ model.w_dec + model.b_dec)
     return (rows[candidates] * h_dec).sum(axis=1) + model.b_out[candidates]
 

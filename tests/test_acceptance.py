@@ -160,17 +160,21 @@ def test_vae_gradients_match_finite_differences():
         )
         model = init_model(config, np.random.default_rng(instance))
         batch = (master.random((3, 6)) < 0.5).astype(float)
+        rows, cols = np.nonzero(batch)
         noise_seed = 1000 + instance
-        _, grads = loss_and_gradients(model, batch, np.random.default_rng(noise_seed))
+        _, grads, enc_rows = loss_and_gradients(model, rows, cols, batch.shape, np.random.default_rng(noise_seed))
+        # the w_enc gradient holds the enc_rows rows only; the others are 0
+        grads["w_enc"], g_w_enc = np.zeros_like(model.w_enc), grads["w_enc"]
+        grads["w_enc"][enc_rows] = g_w_enc
         h = 1e-5
         for name in PARAM_NAMES:
             param = getattr(model, name)
             for index in np.ndindex(param.shape):
                 original = param[index]
                 param[index] = original + h
-                plus, _ = loss_and_gradients(model, batch, np.random.default_rng(noise_seed))
+                plus, *_ = loss_and_gradients(model, rows, cols, batch.shape, np.random.default_rng(noise_seed))
                 param[index] = original - h
-                minus, _ = loss_and_gradients(model, batch, np.random.default_rng(noise_seed))
+                minus, *_ = loss_and_gradients(model, rows, cols, batch.shape, np.random.default_rng(noise_seed))
                 param[index] = original
                 numeric = (plus - minus) / (2 * h)
                 analytic = grads[name][index]
@@ -183,7 +187,10 @@ def test_vae_gradients_match_finite_differences():
 
 
 def test_dropout_zeroing_rate():
-    out = input_dropout(np.ones(100_000), 0.2, np.random.default_rng(5))
+    ones = np.arange(100_000)
+    _, kept, value = input_dropout(np.zeros_like(ones), ones, (1, ones.size), 0.2, np.random.default_rng(5))
+    out = np.zeros(ones.size)
+    out[kept] = value
     rate = float((out == 0).mean())
     assert abs(rate - 0.2) < 0.01
     print(f"[PASS] dropout rate: {rate:.4f} vs 0.2 +/- 0.01 over 1e5 coordinates")

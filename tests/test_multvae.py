@@ -9,6 +9,7 @@ from scenerec.catalog import SimilarityGraph, UserVector
 from scenerec.multvae import (
     ADAM_BLOCK,
     PARAM_NAMES,
+    TrainTrace,
     VaeConfig,
     adam_step,
     init_model,
@@ -18,11 +19,13 @@ from scenerec.multvae import (
     output_rows,
     predict,
     rank_candidates_vae,
+    rows_to_coords,
     rows_to_dense,
     save_vae_model,
     train_multvae,
 )
 from scenerec.persist import ModelMismatchError
+from scenerec.synth import SynthConfig, generate_catalog
 
 
 def graph_from_lists(rows):
@@ -40,19 +43,52 @@ def tiny_model(seed=0, n=6, hidden=5, bottleneck=3, dropout=0.2, kl_weight=0.0):
     return init_model(config, np.random.default_rng(seed))
 
 
+def coords(batch):
+    """A dense binary batch as ``loss_and_gradients`` takes it: the
+    coordinates of its ones and its shape."""
+    rows, cols = np.nonzero(batch)
+    return rows, cols, batch.shape
+
+
+def gradients(model, batch, rng):
+    """``loss_and_gradients`` on a dense binary batch, with the row-sparse
+    ``w_enc`` gradient written into a zero-filled full-size array."""
+    loss, grads, enc_rows = loss_and_gradients(model, *coords(batch), rng)
+    g_w_enc = np.zeros_like(model.w_enc)
+    g_w_enc[enc_rows] = grads["w_enc"]
+    return loss, {**grads, "w_enc": g_w_enc}
+
+
+def dropped(x, p, rng):
+    """``input_dropout`` of an all-binary array, written back densely."""
+    rows, cols, shape = coords(np.atleast_2d(x))
+    kept_rows, kept_cols, value = input_dropout(rows, cols, shape, p, rng)
+    out = np.zeros(shape)
+    out[kept_rows, kept_cols] = value
+    return out.reshape(x.shape)
+
+
+def dense_dropout(x, p, rng):
+    """Input dropout on a dense batch: one uniform per cell."""
+    if p == 0.0:
+        return x
+    keep = rng.random(x.shape) >= p
+    return x * keep / (1.0 - p)
+
+
 def finite_difference_grad(model, batch, noise_seed, name, index, h=1e-5):
     param = getattr(model, name)
     original = param[index]
     param[index] = original + h
-    loss_plus, _ = loss_and_gradients(model, batch, np.random.default_rng(noise_seed))
+    loss_plus, *_ = loss_and_gradients(model, *coords(batch), np.random.default_rng(noise_seed))
     param[index] = original - h
-    loss_minus, _ = loss_and_gradients(model, batch, np.random.default_rng(noise_seed))
+    loss_minus, *_ = loss_and_gradients(model, *coords(batch), np.random.default_rng(noise_seed))
     param[index] = original
     return (loss_plus - loss_minus) / (2.0 * h)
 
 
 def assert_gradients_match(model, batch, noise_seed, rel_tol=1e-4):
-    _, grads = loss_and_gradients(model, batch, np.random.default_rng(noise_seed))
+    _, grads = gradients(model, batch, np.random.default_rng(noise_seed))
     for name in PARAM_NAMES:
         analytic = grads[name]
         for index in np.ndindex(analytic.shape):
@@ -66,7 +102,7 @@ def dense_loss_and_gradients(model, batch, rng):
     every input column, dense (``x_drop @ w_enc`` and ``x_drop.T @ g``)."""
     cfg = model.config
     b, beta = batch.shape[0], cfg.kl_weight
-    x_drop = input_dropout(batch, cfg.dropout, rng)
+    x_drop = dense_dropout(batch, cfg.dropout, rng)
     h_enc = np.tanh(x_drop @ model.w_enc + model.b_enc)
     mu = h_enc @ model.w_mu + model.b_mu
     logvar = h_enc @ model.w_logvar + model.b_logvar
@@ -100,6 +136,79 @@ def dense_loss_and_gradients(model, batch, rng):
     return loss, grads
 
 
+def reference_loss_and_gradients(model, batch, rng):
+    """The training step on a dense batch: dense dropout, ``x_drop[:, used]``
+    and a zero-filled full-size ``w_enc`` gradient, with the same BLAS calls
+    as ``loss_and_gradients``."""
+    cfg = model.config
+    b = batch.shape[0]
+    beta = cfg.kl_weight
+    x_drop = dense_dropout(batch, cfg.dropout, rng)
+    used = np.flatnonzero(x_drop.any(axis=0))
+    x_used = x_drop[:, used]
+    h_enc = np.tanh(x_used @ model.w_enc[used] + model.b_enc)
+    mu = h_enc @ model.w_mu + model.b_mu
+    logvar = h_enc @ model.w_logvar + model.b_logvar
+    sigma = np.exp(0.5 * logvar)
+    eps = rng.standard_normal(mu.shape)
+    z = mu + sigma * eps
+    h_dec = np.tanh(z @ model.w_dec + model.b_dec)
+    resid = h_dec @ model.w_out
+    resid += model.b_out
+    resid -= batch
+    loss = float(np.mean(np.square(resid)))
+    loss += beta * float(np.mean(-0.5 * np.sum(1.0 + logvar - np.square(mu) - np.exp(logvar), axis=1)))
+    g_out = resid
+    g_out *= 2.0
+    g_out /= resid.size
+    g_a_dec = (g_out @ model.w_out.T) * (1.0 - np.square(h_dec))
+    g_z = g_a_dec @ model.w_dec.T
+    g_mu = g_z + (beta / b) * mu
+    g_logvar = g_z * eps * 0.5 * sigma + (beta / b) * 0.5 * (np.exp(logvar) - 1.0)
+    g_a_enc = (g_mu @ model.w_mu.T + g_logvar @ model.w_logvar.T) * (1.0 - np.square(h_enc))
+    g_w_enc = np.zeros_like(model.w_enc)
+    g_w_enc[used] = x_used.T @ g_a_enc
+    grads = {
+        "w_enc": g_w_enc,
+        "b_enc": g_a_enc.sum(axis=0),
+        "w_mu": h_enc.T @ g_mu,
+        "b_mu": g_mu.sum(axis=0),
+        "w_logvar": h_enc.T @ g_logvar,
+        "b_logvar": g_logvar.sum(axis=0),
+        "w_dec": z.T @ g_a_dec,
+        "b_dec": g_a_dec.sum(axis=0),
+        "w_out": h_dec.T @ g_out,
+        "b_out": g_out.sum(axis=0),
+    }
+    return loss, grads
+
+
+def reference_train(graph, config):
+    """``train_multvae``'s loop over dense batches (``rows_to_dense``) with
+    ``reference_loss_and_gradients`` and a dense ``adam_step`` call for
+    every parameter."""
+    rng = np.random.default_rng(config.seed)
+    model = init_model(config, rng)
+    adam_m = {name: np.zeros_like(p) for name, p in model.params().items()}
+    adam_v = {name: np.zeros_like(p) for name, p in model.params().items()}
+    train_losses, updates = [], 0
+    for _ in range(config.epochs):
+        order = rng.permutation(graph.n)
+        epoch_loss = 0.0
+        for start in range(0, graph.n, config.batch_size):
+            chunk = order[start : start + config.batch_size]
+            loss, grads = reference_loss_and_gradients(model, rows_to_dense(graph, chunk), rng)
+            updates += 1
+            for name, param in model.params().items():
+                adam_step(
+                    param, grads[name], adam_m[name], adam_v[name], updates,
+                    config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps,
+                )
+            epoch_loss += loss * len(chunk)
+        train_losses.append(epoch_loss / graph.n)
+    return model, TrainTrace(tuple(train_losses), updates)
+
+
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -113,7 +222,7 @@ class TestGradients:
             model = init_model(config, np.random.default_rng(0))
             for name in PARAM_NAMES:
                 getattr(model, name)[...] = 0.0
-            loss, grads = loss_and_gradients(model, np.zeros((2, 4)), np.random.default_rng(1))
+            loss, grads = gradients(model, np.zeros((2, 4)), np.random.default_rng(1))
             assert loss == 0.0
             assert all(np.abs(g).max() == 0.0 for g in grads.values())
 
@@ -122,8 +231,8 @@ class TestGradients:
         batch = (rng.random((4, 6)) < 0.5).astype(float)
         base = tiny_model(seed=2, dropout=0.0, kl_weight=0.0)
         weighted = tiny_model(seed=2, dropout=0.0, kl_weight=1.5)
-        loss0, _ = loss_and_gradients(base, batch, np.random.default_rng(7))
-        loss1, _ = loss_and_gradients(weighted, batch, np.random.default_rng(7))
+        loss0, _ = gradients(base, batch, np.random.default_rng(7))
+        loss1, _ = gradients(weighted, batch, np.random.default_rng(7))
         # independent KL evaluation from a test-side forward pass
         h = np.tanh(batch @ base.w_enc + base.b_enc)
         mu = h @ base.w_mu + base.b_mu
@@ -138,50 +247,62 @@ class TestGradients:
         batch = (rng.random((5, 12)) < 0.4).astype(float)
         batch[2] = 0.0
         batch[:, 7] = 0.0
-        loss, grads = loss_and_gradients(model, batch, np.random.default_rng(123))
+        loss, grads = gradients(model, batch, np.random.default_rng(123))
         ref_loss, ref_grads = dense_loss_and_gradients(model, batch, np.random.default_rng(123))
         assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
         for name in PARAM_NAMES:
             np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12, atol=0, err_msg=name)
         # the same rng seed replays the dropout mask of the first draw
-        unused = ~input_dropout(batch, dropout, np.random.default_rng(123)).any(axis=0)
+        unused = ~dropped(batch, dropout, np.random.default_rng(123)).any(axis=0)
         assert unused[7] and np.all(grads["w_enc"][unused] == 0.0)
 
     def test_empty_batch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            loss_and_gradients(model, np.zeros((0, 6)), np.random.default_rng(0))
+            loss_and_gradients(model, *coords(np.zeros((0, 6))), np.random.default_rng(0))
 
     def test_dimension_mismatch_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            loss_and_gradients(model, np.zeros((2, 7)), np.random.default_rng(0))
+            loss_and_gradients(model, *coords(np.zeros((2, 7))), np.random.default_rng(0))
 
     def test_fixed_rng_makes_loss_deterministic(self):
         model = tiny_model(dropout=0.2)
         batch = np.eye(6)[:3]
-        loss_a, grads_a = loss_and_gradients(model, batch, np.random.default_rng(42))
-        loss_b, grads_b = loss_and_gradients(model, batch, np.random.default_rng(42))
+        loss_a, grads_a = gradients(model, batch, np.random.default_rng(42))
+        loss_b, grads_b = gradients(model, batch, np.random.default_rng(42))
         assert loss_a == loss_b
         assert all(np.array_equal(grads_a[n], grads_b[n]) for n in PARAM_NAMES)
 
 
 class TestDropout:
     def test_disabled_at_zero(self):
-        x = np.ones((4, 5))
-        assert input_dropout(x, 0.0, np.random.default_rng(0)) is x
+        rows, cols, shape = coords(np.ones((4, 5)))
+        rng = np.random.default_rng(0)
+        kept_rows, kept_cols, value = input_dropout(rows, cols, shape, 0.0, rng)
+        assert kept_rows is rows and kept_cols is cols and value == 1.0
+        # nothing is drawn
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_survivors_scaled(self):
         x = np.ones((200, 50))
-        out = input_dropout(x, 0.2, np.random.default_rng(1))
+        out = dropped(x, 0.2, np.random.default_rng(1))
         kept = out[out != 0]
         assert np.allclose(kept, 1.25)
 
     def test_zero_rate_near_probability(self):
         x = np.ones(20000)
-        out = input_dropout(x, 0.2, np.random.default_rng(2))
+        out = dropped(x, 0.2, np.random.default_rng(2))
         rate = float((out == 0).mean())
         assert abs(rate - 0.2) < 0.02
+
+    @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
+    def test_equals_dense_dropout_and_leaves_the_same_rng_state(self, p):
+        batch = (np.random.default_rng(3).random((7, 30)) < 0.3).astype(float)
+        batch[4] = 0.0
+        rng, dense_rng = np.random.default_rng(9), np.random.default_rng(9)
+        assert np.array_equal(dropped(batch, p, rng), dense_dropout(batch, p, dense_rng))
+        assert rng.random() == dense_rng.random()
 
 
 class TestAdam:
@@ -235,6 +356,38 @@ def unblocked_adam_step(param, grad, m, v, t, lr, beta1, beta2, eps):
     param -= grad
 
 
+class TestRowSparseAdam:
+    # (200, 600) cuts into blocks of 54, 54, 54 and 38 rows
+    @pytest.mark.parametrize(
+        "shape, rows",
+        [
+            ((200, 600), [0, 3, 199]),  # the first and last blocks; the middle two have no rows
+            ((200, 600), [60, 61, 107, 108]),  # rows on both sides of a block boundary
+            ((200, 600), []),
+            ((200, 600), list(range(200))),
+            ((3, ADAM_BLOCK + 5), [1]),  # one row is longer than a block
+            ((5,), [0, 4]),
+        ],
+    )
+    def test_equals_dense_call_on_zero_filled_gradient(self, shape, rows):
+        rng = np.random.default_rng(6)
+        rows = np.asarray(rows, dtype=np.int64)
+        param, m, v = rng.standard_normal(shape), np.zeros(shape), np.zeros(shape)
+        ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
+        for t in range(1, 4):
+            grad = rng.standard_normal((rows.size, *shape[1:]))
+            dense = np.zeros(shape)
+            dense[rows] = grad
+            adam_step(ref_p, dense, ref_m, ref_v, t, 1e-3, 0.9, 0.999, 1e-8)
+            out = adam_step(param, grad, m, v, t, 1e-3, 0.9, 0.999, 1e-8, rows=rows)
+            assert out[0] is param and out[1] is m and out[2] is v
+        assert np.array_equal(param, ref_p) and np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+        # momentum from earlier steps moves rows that have no gradient now
+        if 0 < rows.size < shape[0]:
+            other = np.setdiff1d(np.arange(shape[0]), rows)[0]
+            assert np.any(m[other] == 0.0)
+
+
 class TestAdamBlocks:
     @pytest.mark.parametrize(
         "shape, transposed",
@@ -262,6 +415,19 @@ class TestAdamBlocks:
         assert np.array_equal(param, ref_p) and np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
         if transposed:
             assert np.array_equal(base.T, ref_p)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("n, dropout, kl_weight", [(450, 0.2, 0.0), (650, 0.0, 0.7)])
+    def test_weights_and_losses_equal_the_dense_step_bit_for_bit(self, n, dropout, kl_weight):
+        graph = generate_catalog(SynthConfig(artist_count=n, seed=5)).graph
+        # batches of 100 leave a partial last batch of 50
+        config = VaeConfig(n_items=n, batch_size=100, epochs=2, dropout=dropout, kl_weight=kl_weight, seed=4)
+        model, trace = train_multvae(graph, config)
+        ref_model, ref_trace = reference_train(graph, config)
+        for name in PARAM_NAMES:
+            assert np.array_equal(getattr(model, name), getattr(ref_model, name)), name
+        assert trace == ref_trace and trace.updates == 2 * -(-n // 100)
 
 
 class TestTraining:
@@ -459,3 +625,11 @@ class TestRowsToDense:
         graph = graph_from_lists([[1, 2], [0], []])
         dense = rows_to_dense(graph, [0, 2])
         assert np.array_equal(dense, np.array([[0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+
+    def test_coordinates_are_the_ones_of_the_dense_rows(self):
+        graph = graph_from_lists([[1, 2], [0], [], [0, 1, 2, 4], [3]])
+        indices = np.array([3, 2, 0, 4, 3])
+        rows, cols = rows_to_coords(graph, indices)
+        assert np.array_equal(np.stack(np.nonzero(rows_to_dense(graph, indices))), np.stack([rows, cols]))
+        empty_rows, empty_cols = rows_to_coords(graph, np.array([2], dtype=np.int64))
+        assert empty_rows.size == 0 and empty_cols.size == 0
