@@ -7,8 +7,9 @@ CSR layout, one offsets array (``indptr``) into one flat array of similar
 indices (``indices``), so whole-graph operations are numpy calls. Genre
 membership is held once, as a table per genre of its members ranked by
 popularity (most popular first, ties to the smaller index); trial sampling's
-two queries read it with array operations: ``top_popular_in_genre`` takes a
-prefix, ``artists_in_range`` a ``searchsorted`` slice put back in id order.
+two queries read it with array operations and return artist indices:
+``top_popular_in_genre`` takes a prefix, ``artists_in_range`` a
+``searchsorted`` slice put back in index (= id) order.
 On disk a catalog is JSON Lines, one artist per line with fields ``id``,
 ``name``, ``popularity``, ``genres``, ``similar``. ``Catalog.build`` resolves
 every similar reference to an index in one pass, then sorts and dedupes the
@@ -163,6 +164,10 @@ class GenreRanking(NamedTuple):
     neg_popularity: np.ndarray
 
 
+# the ranking of a genre no artist carries
+_NO_MEMBERS = GenreRanking(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int8))
+
+
 def _raise_first_bad_reference(
     ordered: Sequence[Artist], refs: Sequence[Sequence[str]], index: Mapping[str, int]
 ) -> None:
@@ -257,8 +262,11 @@ class Catalog:
         codes = np.fromiter(tag_codes, dtype=np.int32, count=members.size)
         neg_popularity = np.fromiter((-a.popularity for a in self.artists), dtype=np.int8, count=self.n)[members]
         order = np.lexsort((members, neg_popularity, codes))
+        ranked = members[order]
+        # the sampling queries hand out views of it
+        ranked.flags.writeable = False
         bounds = np.cumsum(np.bincount(codes, minlength=len(names)))[:-1]
-        columns = zip(np.split(members[order], bounds), np.split(neg_popularity[order], bounds))
+        columns = zip(np.split(ranked, bounds), np.split(neg_popularity[order], bounds))
         return {name: GenreRanking(*column) for name, column in zip(names, columns)}
 
     @cached_property
@@ -336,12 +344,15 @@ def load_catalog(path: str | Path) -> Catalog:
                 raise CatalogError(f"{path}:{lineno}: genres must be a list of strings")
             if not isinstance(record["similar"], list) or not all(isinstance(s, str) for s in record["similar"]):
                 raise CatalogError(f"{path}:{lineno}: similar must be a list of ids")
-            artist = Artist(
-                id=canonical.setdefault(record["id"], record["id"]),
-                name=record["name"],
-                popularity=record["popularity"],
-                genres=tuple(record["genres"]),
-            )
+            try:
+                artist = Artist(
+                    id=canonical.setdefault(record["id"], record["id"]),
+                    name=record["name"],
+                    popularity=record["popularity"],
+                    genres=tuple(record["genres"]),
+                )
+            except CatalogError as exc:
+                raise CatalogError(f"{path}:{lineno}: {exc}") from None
             artists.append(artist)
             similar[artist.id] = list(map(canonical.setdefault, record["similar"], record["similar"]))
     return Catalog.build(artists, similar)
@@ -372,28 +383,22 @@ def popularity_percentiles(catalog: Catalog) -> tuple[int, int, int, int]:
     return tuple(ordered[math.ceil(p * len(ordered) / 100) - 1] for p in (25, 50, 75, 95))
 
 
-def artists_in_range(catalog: Catalog, genre: str, lo: int, hi: int) -> list[str]:
-    """Ids of artists tagged with ``genre`` whose popularity lies in the
-    closed range [lo, hi], in id order. Unknown genres yield an empty list."""
+def artists_in_range(catalog: Catalog, genre: str, lo: int, hi: int) -> np.ndarray:
+    """Indices of artists tagged with ``genre`` whose popularity lies in the
+    closed range [lo, hi], in index (= id) order. Unknown genres yield an
+    empty array."""
     if not (0 <= lo <= hi <= 100):
         raise ValueError(f"invalid popularity range [{lo}, {hi}]")
-    ranking = catalog.genre_ranking.get(genre)
-    if ranking is None:
-        return []
+    ranking = catalog.genre_ranking.get(genre, _NO_MEMBERS)
     # the members in range are one contiguous run of the ranking
     start = np.searchsorted(ranking.neg_popularity, -hi, side="left")
     stop = np.searchsorted(ranking.neg_popularity, -lo, side="right")
-    ids = catalog.ids
-    return [ids[i] for i in np.sort(ranking.indices[start:stop]).tolist()]
+    return np.sort(ranking.indices[start:stop])
 
 
-def top_popular_in_genre(catalog: Catalog, genre: str, n: int) -> list[str]:
-    """Up to n ids for the genre, most popular first; popularity ties break
-    toward the smaller id."""
+def top_popular_in_genre(catalog: Catalog, genre: str, n: int) -> np.ndarray:
+    """Up to n artist indices for the genre, most popular first; popularity
+    ties break toward the smaller index (= id). A read-only view."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ranking = catalog.genre_ranking.get(genre)
-    if ranking is None:
-        return []
-    ids = catalog.ids
-    return [ids[i] for i in ranking.indices[:n].tolist()]
+    return catalog.genre_ranking.get(genre, _NO_MEMBERS).indices[:n]

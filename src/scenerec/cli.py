@@ -1,8 +1,10 @@
 """Command-line entry point: generate catalogs, train models, run the
 popularity-bin benchmark, and pretty-print reports.
 
-Every subcommand is deterministic given its flags and seed. A JSON config
-file (--config) supplies flag defaults; explicit flags win. Relative paths
+Every subcommand is deterministic given its flags and seed; a trained model
+file repeats bit for bit only at a fixed BLAS thread count, while eval
+output from a given model file does not depend on it. A JSON config file
+(--config) supplies flag defaults; explicit flags win. Relative paths
 resolve against $SCENEREC_DATA_DIR when it is set.
 """
 

@@ -113,39 +113,40 @@ def sample_trial(catalog: Catalog, bin_range: tuple[int, int], rng: np.random.Ge
     seed_idx = rng.choice(SCENE_GENRE_COUNT, size=SEED_GENRE_COUNT, replace=False)
     seed_genres = tuple(scene_genres[i] for i in seed_idx)
 
-    seed_ids: list[str] = []
-    seen_seeds: set[str] = set()
+    # seeds and candidates are artist indices until the Trial is built;
+    # ``chosen`` marks the artists already in the trial
+    chosen = np.zeros(catalog.n, dtype=bool)
+    seeds: list[int] = []
     for genre in seed_genres:
         top = top_popular_in_genre(catalog, genre, TOP_POPULAR_POOL)
-        if not top:
+        if top.size == 0:
             raise TrialSamplingError(f"seed genre {genre!r} has no artists in the catalog")
-        take = min(SEEDS_PER_GENRE, len(top))
-        for i in rng.choice(len(top), size=take, replace=False):
-            if top[i] not in seen_seeds:
-                seen_seeds.add(top[i])
-                seed_ids.append(top[i])
+        picked = top[rng.choice(top.size, size=min(SEEDS_PER_GENRE, top.size), replace=False)]
+        picked = picked[~chosen[picked]]
+        chosen[picked] = True
+        seeds.extend(picked.tolist())
 
-    candidate_ids: list[str] = []
-    chosen: set[str] = set(seen_seeds)
+    candidates: list[int] = []
     for genre in scene_genres:
         in_range = artists_in_range(catalog, genre, lo, hi)
-        eligible = [aid for aid in in_range if aid not in chosen]
-        take = min(CANDIDATES_PER_GENRE, len(eligible))
-        if take == 0:
+        eligible = in_range[~chosen[in_range]]
+        if eligible.size == 0:
             continue
-        for i in rng.choice(len(eligible), size=take, replace=False):
-            chosen.add(eligible[i])
-            candidate_ids.append(eligible[i])
+        picked = eligible[rng.choice(eligible.size, size=min(CANDIDATES_PER_GENRE, eligible.size), replace=False)]
+        chosen[picked] = True
+        candidates.extend(picked.tolist())
 
     # relevant: a member of some seed genre
     seed_genre_members = np.concatenate([catalog.genre_ranking[g].indices for g in seed_genres])
-    candidate_idx = [catalog.index[cid] for cid in candidate_ids]
-    labels = tuple(np.isin(candidate_idx, seed_genre_members).tolist())
+    labels = tuple(np.isin(candidates, seed_genre_members).tolist())
     if not any(labels) or all(labels):
         raise TrialSamplingError(
-            f"bin [{lo}, {hi}]: candidates are all of one relevance class ({len(candidate_ids)} candidates)"
+            f"bin [{lo}, {hi}]: candidates are all of one relevance class ({len(candidates)} candidates)"
         )
-    return Trial(lo, hi, scene_genres, seed_genres, tuple(seed_ids), tuple(candidate_ids), labels)
+    ids = catalog.ids
+    return Trial(
+        lo, hi, scene_genres, seed_genres, tuple(ids[i] for i in seeds), tuple(ids[i] for i in candidates), labels
+    )
 
 
 def auc(ranked_labels: Sequence[bool | int]) -> float:

@@ -12,23 +12,22 @@ increase. Row i with observed columns ``obs`` (r of them) solves
 
     (G + alpha M^T M) x = (1 + alpha) M^T 1,   G = Y^T Y + lam I,  M = Y[obs]
 
-G is formed once per half-sweep. Because r is usually far below k, the
-half-sweep also forms W = Y G^-1 once and applies the Woodbury identity,
-which turns each k x k system into an r x r one:
+``ridge_terms`` forms G once per half-sweep and, when lam > 0, also
+W = Y G^-1. ``solve_row`` solves a block of rows of equal degree r in one
+batched call: for r < k (with W) through the Woodbury identity, which turns
+each k x k system into an r x r one,
 
     x = (1 + alpha) W[obs]^T (I + alpha K)^-1 1,   K = W[obs] M^T
 
-(the alpha-scaled form, so alpha = 0 needs no special case). Rows of equal
-degree are stacked into blocks whose temporaries stay under ``BLOCK_BYTES``
-and each block is one batched solve. Rows with no observations get exact
-zeros. The direct k x k solve (``solve_row``) still runs for rows with
-r >= k, where it is the smaller system, and for the whole half-sweep when
-lam = 0, where G may be singular. Both paths are exact to rounding.
+(the alpha-scaled form, so alpha = 0 needs no special case), and otherwise
+through the k x k system itself, the smaller one for r >= k and the only
+one when lam = 0, where G may be singular. Both are exact to rounding.
+``half_sweep`` gives rows with no observations exact zeros and stacks the
+rest by degree into blocks whose temporaries stay under ``BLOCK_BYTES``.
 
 A user is a sparse indicator vector over artists; ``fold_in_user`` embeds it
-as one more row, through the same ``woodbury_rows`` solve as the training
-rows (W is cached on the model) or, for r >= k or lam = 0, ``solve_row``.
-Candidates are scored by dot product against their column factors;
+as one more row: a one-row ``solve_row`` block, with G and W cached on the
+model. Candidates are scored by dot product against their column factors;
 ``evaluation.run_experiment`` ranks the scores.
 """
 
@@ -87,42 +86,40 @@ class FactorModel:
         return self.row_factors.shape[0]
 
     @cached_property
-    def gram_reg(self) -> np.ndarray:
-        """Y^T Y + lam I over the column factors Y: the user-independent part
-        of every fold-in system, formed once per model."""
-        y = self.col_factors
-        return y.T @ y + self.config.lam * np.eye(self.config.k)
-
-    @cached_property
-    def woodbury_w(self) -> np.ndarray:
-        """W = Y G^-1 with G = ``gram_reg``, the factor of every Woodbury
-        fold-in; formed once per model (n x k), as ``half_sweep`` forms it."""
-        return np.linalg.solve(self.gram_reg, self.col_factors.T).T
+    def ridge(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """``ridge_terms`` of the column factors: the user-independent part
+        of every fold-in, formed once per model."""
+        return ridge_terms(self.col_factors, self.config.lam)
 
 
-def solve_row(obs: np.ndarray, other: np.ndarray, gram_reg: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact minimizer of the weighted ridge problem for one row:
+def ridge_terms(other: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """G = other^T other + lam I and, when lam > 0, W = other G^-1 (None
+    when lam = 0, where G may be singular)."""
+    gram_reg = other.T @ other + lam * np.eye(other.shape[1])
+    return gram_reg, (np.linalg.solve(gram_reg, other.T).T if lam > 0 else None)
+
+
+def solve_row(
+    obs: np.ndarray, other: np.ndarray, gram_reg: np.ndarray, w: np.ndarray | None, alpha: float
+) -> np.ndarray:
+    """Exact minimizers of the weighted ridge problem for a block of rows,
+    ``obs`` a (rows, r) array of each row's observed indices: row by row,
     (other^T C other + lam I) x = other^T C p, where C is 1 + alpha on the
-    observed entries and 1 elsewhere, and p is the binary indicator of
-    ``obs``. ``gram_reg`` must be other^T other + lam I."""
-    if obs.size == 0:
-        return np.zeros(other.shape[1])
+    observed entries and 1 elsewhere, and p is the binary indicator of the
+    row's ``obs``. ``gram_reg`` and ``w`` are ``ridge_terms(other, lam)``;
+    the Woodbury system serves r < k when ``w`` is given, the direct k x k
+    system every other block (see the module docstring)."""
+    if w is not None and obs.shape[1] < other.shape[1]:
+        w_obs = w[obs]
+        # other[obs] lives only inside the product: held through the solve,
+        # it made the half-sweep measurably slower
+        kmat = np.eye(obs.shape[1]) + alpha * (w_obs @ other[obs].transpose(0, 2, 1))
+        u = np.linalg.solve(kmat, np.ones((*obs.shape, 1)))
+        return (1.0 + alpha) * (u.transpose(0, 2, 1) @ w_obs)[:, 0]
     m = other[obs]
-    a = gram_reg + alpha * (m.T @ m)
-    b = (1.0 + alpha) * m.sum(axis=0)
-    return np.linalg.solve(a, b)
-
-
-def woodbury_rows(w: np.ndarray, other: np.ndarray, obs: np.ndarray, alpha: float) -> np.ndarray:
-    """The ``solve_row`` solution for a block of rows with r observations
-    each, ``obs`` a (rows, r) index array, through the Woodbury identity
-    with W = other G^-1 (see the module docstring). Needs lam > 0, and is
-    the cheaper solve for r < k."""
-    r = obs.shape[1]
-    w_obs = w[obs]
-    kmat = np.eye(r) + alpha * (w_obs @ other[obs].transpose(0, 2, 1))
-    u = np.linalg.solve(kmat, np.ones((obs.shape[0], r, 1)))
-    return (1.0 + alpha) * (u.transpose(0, 2, 1) @ w_obs)[:, 0]
+    a = gram_reg + alpha * (m.transpose(0, 2, 1) @ m)
+    b = (1.0 + alpha) * m.sum(axis=1)
+    return np.linalg.solve(a, b[..., None])[..., 0]
 
 
 def _equal_degree_blocks(
@@ -143,20 +140,20 @@ def _equal_degree_blocks(
 
 def half_sweep(graph: SimilarityGraph, this: np.ndarray, other: np.ndarray, lam: float, alpha: float) -> None:
     """Update every row of ``this`` in place against fixed ``other``, row i
-    observing ``graph.row(i)``: the stacked Woodbury solve for rows with
-    0 < degree < k when lam > 0, the direct ``solve_row`` for the rest (see
-    the module docstring)."""
+    observing ``graph.row(i)``: exact zeros for empty rows, one
+    ``solve_row`` call per block of equal-degree rows for the rest."""
     k = other.shape[1]
-    gram_reg = other.T @ other + lam * np.eye(k)
+    gram_reg, w = ridge_terms(other, lam)
     degrees = np.diff(graph.indptr)
     this[degrees == 0] = 0.0
-    stacked = (degrees > 0) & (degrees < k) & (lam > 0)
-    if stacked.any():
-        w = np.linalg.solve(gram_reg, other.T).T
-        for block, obs in _equal_degree_blocks(graph, degrees, stacked, lambda r: 8 * (2 * r * k + 3 * r * r + k)):
-            this[block] = woodbury_rows(w, other, obs, alpha)
-    for i in np.flatnonzero((degrees > 0) & ~stacked):
-        this[i] = solve_row(graph.row(i), other, gram_reg, alpha)
+
+    def row_bytes(r: int) -> int:
+        # solve_row's temporaries; with W, the Woodbury ones also bound the
+        # direct solve's, which runs only for r >= k
+        return 8 * (2 * r * k + 3 * r * r + k) if w is not None else 8 * (r * k + 3 * k * k + k)
+
+    for block, obs in _equal_degree_blocks(graph, degrees, degrees > 0, row_bytes):
+        this[block] = solve_row(obs, other, gram_reg, w, alpha)
 
 
 def _objective_value(x: np.ndarray, y: np.ndarray, graph: SimilarityGraph, lam: float, alpha: float) -> float:
@@ -218,14 +215,12 @@ def fold_in_user(model: FactorModel, user: UserVector) -> np.ndarray:
     """Embed a seed-indicator vector into the factor space as one more row
     of X: the same solve ``half_sweep`` gives a training row with these
     observations."""
-    obs, config = user.indices, model.config
+    obs = user.indices
     if obs.size == 0:
         raise ValueError("fold-in requires at least one seed artist")
     if user.n != model.n:
         raise ValueError(f"user vector has dimension {user.n} but model has {model.n}")
-    if obs.size < config.k and config.lam > 0:
-        return woodbury_rows(model.woodbury_w, model.col_factors, obs[None], config.alpha)[0]
-    return solve_row(obs, model.col_factors, model.gram_reg, config.alpha)
+    return solve_row(obs[None], model.col_factors, *model.ridge, model.config.alpha)[0]
 
 
 def rank_candidates(model: FactorModel, user_vec: np.ndarray, candidates: Sequence[int]) -> np.ndarray:

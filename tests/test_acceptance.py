@@ -137,7 +137,7 @@ def test_als_correctness():
         conf = np.diag(1.0 + alpha * p)
         dense = np.linalg.solve(y.T @ conf @ y + lam * np.eye(k), y.T @ conf @ p)
         gram = y.T @ y + lam * np.eye(k)
-        fast = solve_row(seeds, y, gram, alpha)
+        fast = solve_row(seeds[None], y, gram, None, alpha)[0]
         worst = max(worst, float(np.abs(fast - dense).max()))
         assert np.abs(fast - dense).max() < 1e-10
     elapsed = time.time() - started

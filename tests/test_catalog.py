@@ -241,13 +241,19 @@ class TestPercentiles:
         assert popularity_percentiles(build_catalog([(f"a{i:02d}", p, []) for i, p in enumerate(pops)])) == expected
 
 
+def assert_indices(result, catalog, ids):
+    """A query result is the index array of ``ids``, in that order."""
+    assert result.dtype.kind == "i"
+    np.testing.assert_array_equal(result, np.asarray([catalog.index[i] for i in ids], dtype=result.dtype))
+
+
 class TestArtistsInRange:
     def test_direct_filter(self, six_artists):
         catalog = build_catalog([("x", 22, ["rock"]), ("y", 50, ["rock"])])
-        assert artists_in_range(catalog, "rock", 20, 24) == ["x"]
+        assert_indices(artists_in_range(catalog, "rock", 20, 24), catalog, ["x"])
 
     def test_full_range_gets_whole_genre(self, six_artists):
-        assert artists_in_range(six_artists, "rock", 0, 100) == ["a", "b"]
+        assert_indices(artists_in_range(six_artists, "rock", 0, 100), six_artists, ["a", "b"])
 
     def test_invalid_bounds(self, six_artists):
         with pytest.raises(ValueError):
@@ -256,34 +262,40 @@ class TestArtistsInRange:
             artists_in_range(six_artists, "rock", -1, 20)
 
     def test_unknown_genre_is_empty(self, six_artists):
-        assert artists_in_range(six_artists, "zydeco", 0, 100) == []
+        assert_indices(artists_in_range(six_artists, "zydeco", 0, 100), six_artists, [])
 
     @given(catalogs())
     @settings(max_examples=40, deadline=None)
     def test_union_over_genres_covers_tagged_artists(self, catalog):
         union = set()
         for g in catalog.genres:
-            union.update(artists_in_range(catalog, g, 0, 100))
-        tagged = {a.id for a in catalog.artists if a.genres}
+            union.update(artists_in_range(catalog, g, 0, 100).tolist())
+        tagged = {i for i, a in enumerate(catalog.artists) if a.genres}
         assert tagged <= union
 
 
 class TestTopPopular:
     def test_sorted_by_popularity(self):
         catalog = build_catalog([("a", 5, ["g"]), ("b", 80, ["g"]), ("c", 40, ["g"])])
-        assert top_popular_in_genre(catalog, "g", 2) == ["b", "c"]
+        assert_indices(top_popular_in_genre(catalog, "g", 2), catalog, ["b", "c"])
 
     def test_saturation_returns_all(self):
         catalog = build_catalog([("a", 5, ["g"]), ("b", 80, ["g"])])
-        assert top_popular_in_genre(catalog, "g", 10) == ["b", "a"]
+        assert_indices(top_popular_in_genre(catalog, "g", 10), catalog, ["b", "a"])
 
     def test_popularity_tie_smaller_id_first(self):
         catalog = build_catalog([("zz", 50, ["g"]), ("aa", 50, ["g"])])
-        assert top_popular_in_genre(catalog, "g", 2) == ["aa", "zz"]
+        assert_indices(top_popular_in_genre(catalog, "g", 2), catalog, ["aa", "zz"])
 
     def test_n_below_one_rejected(self, six_artists):
         with pytest.raises(ValueError):
             top_popular_in_genre(six_artists, "rock", 0)
+
+    def test_result_does_not_write_through_to_the_catalog(self, six_artists):
+        top = top_popular_in_genre(six_artists, "rock", 2)
+        with pytest.raises(ValueError):
+            top[0] = 5
+        assert_indices(top_popular_in_genre(six_artists, "rock", 2), six_artists, ["a", "b"])
 
 
 @st.composite
@@ -305,22 +317,23 @@ class TestGenreQueriesMatchBruteForce:
     @settings(max_examples=25, deadline=None)
     def test_artists_in_range_every_range(self, catalog):
         for genre in catalog.genres:
-            members = [a for a in catalog.artists if genre in a.genres]
+            members = [i for i, a in enumerate(catalog.artists) if genre in a.genres]
+            pops = catalog.popularities
             for lo in range(101):
                 for hi in range(lo, 101):
-                    expected = [a.id for a in members if lo <= a.popularity <= hi]
-                    assert artists_in_range(catalog, genre, lo, hi) == expected
-        assert artists_in_range(catalog, "zydeco", 0, 100) == []
+                    expected = [i for i in members if lo <= pops[i] <= hi]
+                    assert artists_in_range(catalog, genre, lo, hi).tolist() == expected
+        assert artists_in_range(catalog, "zydeco", 0, 100).size == 0
 
     @given(ranked_catalogs())
     @settings(max_examples=60, deadline=None)
     def test_top_popular_every_n(self, catalog):
         for genre in catalog.genres:
-            members = [a for a in catalog.artists if genre in a.genres]
-            ranked = [a.id for a in sorted(members, key=lambda a: (-a.popularity, a.id))]
+            members = [i for i, a in enumerate(catalog.artists) if genre in a.genres]
+            ranked = sorted(members, key=lambda i: (-catalog.popularities[i], i))
             for n in range(1, len(members) + 3):
-                assert top_popular_in_genre(catalog, genre, n) == ranked[:n]
-        assert top_popular_in_genre(catalog, "zydeco", 5) == []
+                assert top_popular_in_genre(catalog, genre, n).tolist() == ranked[:n]
+        assert top_popular_in_genre(catalog, "zydeco", 5).size == 0
 
 
 class TestTypes:

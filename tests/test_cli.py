@@ -260,7 +260,23 @@ class TestEvalCommand:
         code = run(["eval", "--catalog", path, "--algorithms", "oracle", "--trials", 1, "--seed", 1,
                     "--out", tmp_path / "r.csv"])
         assert code == 1
-        assert capsys.readouterr().err == "error: artist 'a': genre 'rock' listed twice\n"
+        assert capsys.readouterr().err == f"error: {path}:1: artist 'a': genre 'rock' listed twice\n"
+
+    @pytest.mark.parametrize(
+        "popularity, message",
+        [(150, "popularity 150 outside [0, 100]"), (5.0, "popularity must be an integer, got 5.0")],
+    )
+    def test_bad_popularity_in_catalog_fails_in_one_line(self, tmp_path, capsys, popularity, message):
+        path = tmp_path / "pop.jsonl"
+        records = [
+            {"id": "b", "name": "b", "popularity": 20, "genres": ["rock"], "similar": []},
+            {"id": "a", "name": "a", "popularity": popularity, "genres": ["rock"], "similar": ["b"]},
+        ]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        code = run(["eval", "--catalog", path, "--algorithms", "oracle", "--trials", 1, "--seed", 1,
+                    "--out", tmp_path / "r.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}:2: artist 'a': {message}\n"
 
     def test_hash_mismatch_fails(self, tmp_path, trained_models):
         wrmf_path, _ = trained_models

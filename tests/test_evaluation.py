@@ -104,8 +104,8 @@ class TestSampleTrial:
         trial = sample_trial(synth_catalog, (0, 4), np.random.default_rng(7))
         allowed = set()
         for g in trial.seed_genres:
-            allowed.update(top_popular_in_genre(synth_catalog, g, 100))
-        assert set(trial.seed_ids) <= allowed
+            allowed.update(top_popular_in_genre(synth_catalog, g, 100).tolist())
+        assert {synth_catalog.index[s] for s in trial.seed_ids} <= allowed
 
     def test_relevance_marks_seed_genre_carriers(self, synth_catalog):
         trial = sample_trial(synth_catalog, (0, 4), np.random.default_rng(11))

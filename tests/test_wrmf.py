@@ -14,6 +14,7 @@ from scenerec.wrmf import (
     load_factor_model,
     objective,
     rank_candidates,
+    ridge_terms,
     save_factor_model,
     solve_row,
     train_wrmf,
@@ -37,6 +38,15 @@ def dense_objective(x, y, dense_p, lam, alpha):
     scores = x @ y.T
     conf = 1.0 + alpha * dense_p
     return float((conf * (dense_p - scores) ** 2).sum() + lam * ((x**2).sum() + (y**2).sum()))
+
+
+def dense_ridge(y, obs, lam, alpha):
+    """One row's weighted ridge solution from the dense n x n confidence
+    matrix, sharing no code with ``solve_row``."""
+    p = np.zeros(y.shape[0])
+    p[obs] = 1.0
+    conf = np.diag(1.0 + alpha * p)
+    return np.linalg.solve(y.T @ conf @ y + lam * np.eye(y.shape[1]), y.T @ conf @ p)
 
 
 TWO_CLIQUES = graph_from_lists(
@@ -209,10 +219,13 @@ class TestFoldIn:
         with pytest.raises(ValueError, match="seed"):
             fold_in_user(model, UserVector(np.asarray([], dtype=np.int64), 3))
 
-    def test_fold_in_equals_row_update_code_path(self):
+    @pytest.mark.parametrize("lam", [0.2, 0.0], ids=["lam>0", "lam=0"])
+    def test_fold_in_equals_row_update_code_path(self, lam):
+        # every kind of row: Woodbury (r < k) and direct (r >= k) blocks when
+        # lam > 0, direct blocks only when lam = 0
         rng = np.random.default_rng(31)
-        graph = random_graph(rng, 15, 0.25)
-        config = WrmfConfig(k=4, lam=0.2, alpha=15.0, sweeps=3, seed=9)
+        graph = SimilarityGraph.from_rows(mixed_degree_rows(rng, 40, 6))
+        config = WrmfConfig(k=6, lam=lam, alpha=15.0, sweeps=3, seed=9)
         model = train_wrmf(graph, config)
         x = model.row_factors.copy()
         half_sweep(graph, x, model.col_factors, config.lam, config.alpha)
@@ -220,9 +233,8 @@ class TestFoldIn:
             obs = graph.row(i)
             if obs.size == 0:
                 continue
-            user = UserVector(obs, graph.n)
-            # fold-in and the row update share woodbury_rows / solve_row
-            assert np.array_equal(fold_in_user(model, user), x[i])
+            # a one-row solve_row block, bit for bit the half-sweep's row
+            assert np.array_equal(fold_in_user(model, UserVector(obs, graph.n)), x[i])
 
     def test_matches_dense_ridge_oracle(self):
         rng = np.random.default_rng(40)
@@ -233,54 +245,27 @@ class TestFoldIn:
             model = FactorModel(np.zeros((n, k)), y, WrmfConfig(k=k, lam=0.4, alpha=15.0))
             size = int(rng.integers(1, n + 1))
             seeds = np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
-            user = UserVector(seeds, n)
-            p = user.to_dense()
-            conf = np.diag(1.0 + 15.0 * p)
-            expected = np.linalg.solve(y.T @ conf @ y + 0.4 * np.eye(k), y.T @ conf @ p)
-            assert np.abs(fold_in_user(model, user) - expected).max() < 1e-10
+            assert np.abs(fold_in_user(model, UserVector(seeds, n)) - dense_ridge(y, seeds, 0.4, 15.0)).max() < 1e-10
 
-
-    @staticmethod
-    def dense_ridge(y, user, lam, alpha):
-        p = user.to_dense()
-        conf = np.diag(1.0 + alpha * p)
-        return np.linalg.solve(y.T @ conf @ y + lam * np.eye(y.shape[1]), y.T @ conf @ p)
-
-    @staticmethod
-    def record_paths(monkeypatch):
-        taken = []
-        for name in ("solve_row", "woodbury_rows"):
-            original = getattr(wrmf, name)
-
-            def spy(*args, name=name, original=original):
-                taken.append(name)
-                return original(*args)
-
-            monkeypatch.setattr(wrmf, name, spy)
-        return taken
-
-    def test_woodbury_fold_in_matches_dense_ridge_oracle(self, monkeypatch):
-        taken = self.record_paths(monkeypatch)
+    def test_woodbury_fold_in_matches_dense_ridge_oracle(self):
         rng = np.random.default_rng(41)
         n, k, lam, alpha = 60, 16, 0.1, 15.0
         y = rng.standard_normal((n, k)) / np.sqrt(k)
         model = FactorModel(np.zeros((n, k)), y, WrmfConfig(k=k, lam=lam, alpha=alpha))
         for r in range(1, k):
-            user = UserVector(np.sort(rng.choice(n, size=r, replace=False)).astype(np.int64), n)
-            assert np.abs(fold_in_user(model, user) - self.dense_ridge(y, user, lam, alpha)).max() < 1e-10
-        assert taken == ["woodbury_rows"] * (k - 1)
+            seeds = np.sort(rng.choice(n, size=r, replace=False)).astype(np.int64)
+            assert np.abs(fold_in_user(model, UserVector(seeds, n)) - dense_ridge(y, seeds, lam, alpha)).max() < 1e-10
 
     @pytest.mark.parametrize("lam, r", [(0.1, 6), (0.1, 9), (0.0, 2)], ids=["r=k", "r>k", "lam=0"])
-    def test_direct_solve_for_r_at_least_k_or_lam_zero(self, monkeypatch, lam, r):
-        taken = self.record_paths(monkeypatch)
+    def test_direct_solve_for_r_at_least_k_or_lam_zero(self, lam, r):
         rng = np.random.default_rng(42)
         n, k = 12, 6
         y = rng.standard_normal((n, k))
         model = FactorModel(np.zeros((n, k)), y, WrmfConfig(k=k, lam=lam, alpha=15.0))
-        user = UserVector(np.sort(rng.choice(n, size=r, replace=False)).astype(np.int64), n)
-        np.testing.assert_allclose(fold_in_user(model, user), self.dense_ridge(y, user, lam, 15.0), rtol=1e-9)
-        assert taken == ["solve_row"]
-        assert "woodbury_w" not in vars(model)
+        seeds = np.sort(rng.choice(n, size=r, replace=False)).astype(np.int64)
+        np.testing.assert_allclose(fold_in_user(model, UserVector(seeds, n)), dense_ridge(y, seeds, lam, 15.0), rtol=1e-9)
+        # G may be singular at lam = 0, so W is never formed there
+        assert (model.ridge[1] is None) == (lam == 0)
 
 
 class TestRanking:
@@ -363,8 +348,7 @@ class TestHalfSweep:
         rows = mixed_degree_rows(rng, n, k)
         other = rng.standard_normal((n, k))
         this = rng.standard_normal((n, k))
-        gram_reg = other.T @ other + lam * np.eye(k)
-        expected = np.stack([solve_row(obs, other, gram_reg, alpha) for obs in rows])
+        expected = np.stack([dense_ridge(other, obs, lam, alpha) for obs in rows])
         half_sweep(SimilarityGraph.from_rows(rows), this, other, lam, alpha)
         np.testing.assert_allclose(this, expected, rtol=1e-10, atol=1e-12)
         assert all(not this[i].any() for i, obs in enumerate(rows) if obs.size == 0)
@@ -381,5 +365,6 @@ class TestHalfSweep:
 class TestSolveRow:
     def test_unobserved_row_is_exact_zero(self):
         y = np.random.default_rng(1).standard_normal((5, 3))
-        gram = y.T @ y + 0.1 * np.eye(3)
-        assert np.array_equal(solve_row(np.asarray([], dtype=np.int64), y, gram, 15.0), np.zeros(3))
+        for lam in (0.1, 0.0):
+            unobserved = np.empty((2, 0), dtype=np.int64)
+            assert np.array_equal(solve_row(unobserved, y, *ridge_terms(y, lam), 15.0), np.zeros((2, 3)))
