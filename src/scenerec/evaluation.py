@@ -71,9 +71,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials_per_bin < 1:
             raise ValueError("trials_per_bin must be >= 1")
+        seen = set()
         for lo, hi in self.bins:
             if not (0 <= lo <= hi <= 100):
                 raise ValueError(f"invalid popularity bin [{lo}, {hi}]")
+            # a repeated bin would be run twice, and ``ExperimentReport.row``
+            # would find only its first rows
+            if (lo, hi) in seen:
+                raise ValueError(f"popularity bin [{lo}, {hi}] given more than once")
+            seen.add((lo, hi))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,14 @@ element sees the same floating-point operations, in the same order, as in
 training on dense matrices, so the trained weights equal that training's
 bit for bit.
 
+The parameters are float32, the precision of the Mult-VAE reference
+implementation, and every later array follows their dtype: the batch
+values, the latent noise, the Adam moments and scratch, and the scoring
+path's seed vector and output rows. Random draws stay float64 and are cast,
+so the rng stream does not depend on the dtype. A float64 model, such as a
+gradient check's or one loaded from an older float64 file, runs the same
+code in float64.
+
 Inference never samples and never drops inputs: the latent is the encoder
 mean, so the same user vector always produces the same scores;
 ``evaluation.run_experiment`` ranks them. It decodes candidate rows only:
@@ -62,8 +70,8 @@ PARAM_SHAPES: dict[str, tuple[str, ...]] = {
 PARAM_NAMES = tuple(PARAM_SHAPES)
 
 # Elements per block of an Adam update: the four arrays of one block, 1 MiB
-# in float64, stay in L2 across the update's twelve elementwise passes.
-ADAM_BLOCK = 1 << 15
+# in float32, stay in L2 across the update's twelve elementwise passes.
+ADAM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -124,12 +132,13 @@ class TrainTrace:
 
 
 def init_model(config: VaeConfig, rng: np.random.Generator, index_hash: str = "") -> VaeModel:
-    """Weights drawn standard normal in ``PARAM_SHAPES`` order and scaled by
-    1/sqrt(fan-in); biases zero."""
+    """float32 weights, drawn standard normal in float64 in ``PARAM_SHAPES``
+    order, scaled by 1/sqrt(fan-in) and cast; float32 biases zero."""
     params = {}
     for name, axes in PARAM_SHAPES.items():
         shape = tuple(getattr(config, axis) for axis in axes)
-        params[name] = rng.standard_normal(shape) / np.sqrt(shape[0]) if len(shape) == 2 else np.zeros(shape)
+        param = rng.standard_normal(shape) / np.sqrt(shape[0]) if len(shape) == 2 else np.zeros(shape)
+        params[name] = param.astype(np.float32)
     return VaeModel(config=config, index_hash=index_hash, **params)
 
 
@@ -172,7 +181,7 @@ def loss_and_gradients(
     row: the ``w_enc`` gradient holds only those rows, and its other rows
     are zero. All noise (dropout mask, latent sample) comes from ``rng``, so
     the result is a deterministic function of the model, the batch, and the
-    rng state."""
+    rng state. Every array, the gradients too, has the parameters' dtype."""
     b, n = shape
     if b < 1:
         raise ValueError("batch must have at least one row")
@@ -183,12 +192,12 @@ def loss_and_gradients(
 
     kept_rows, kept_cols, value = input_dropout(rows, cols, shape, cfg.dropout, rng)
     used, kept_pos = np.unique(kept_cols, return_inverse=True)
-    x_used = np.zeros((b, used.size))
+    x_used = np.zeros((b, used.size), model.w_enc.dtype)
     x_used[kept_rows, kept_pos] = value
     h_enc, mu = _encode(model, used, x_used)
     logvar = h_enc @ model.w_logvar + model.b_logvar
     sigma = np.exp(0.5 * logvar)
-    eps = rng.standard_normal(mu.shape)
+    eps = rng.standard_normal(mu.shape).astype(mu.dtype)
     z = mu + sigma * eps
     h_dec, recon = _decode(model, z)
 
@@ -262,16 +271,17 @@ def adam_step(
     Both bias corrections fold into one scalar step size and one scaled eps:
     lr * m_hat / (sqrt(v_hat) + eps) equals step * m / (sqrt(v) + eps_hat)
     with step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
-    eps_hat = eps * sqrt(1 - beta2^t). ``grad`` serves as the scratch buffer,
-    so it is overwritten. The elementwise passes run block by block (see
-    ``_blocks``), so each block's arrays stay in cache between passes; every
-    element sees the same operations, so the result does not depend on the
-    blocking. With ``rows``, the gradient terms are added at those rows
+    eps_hat = eps * sqrt(1 - beta2^t); these scalars are Python floats, so
+    every pass runs in the arrays' dtype. ``grad`` serves as the scratch
+    buffer, so it is overwritten. The elementwise passes run block by block
+    (see ``_blocks``), so each block's arrays stay in cache between passes;
+    every element sees the same operations, so the result does not depend on
+    the blocking. With ``rows``, the gradient terms are added at those rows
     only; adding a zero gradient leaves a moment unchanged, so the result
     equals the dense call's on the zero-filled gradient, bit for bit."""
-    correction2 = np.sqrt(1.0 - beta2**t)
+    correction2 = math.sqrt(1.0 - beta2**t)
     step = lr * correction2 / (1.0 - beta1**t)
-    scratch = None if rows is None else np.empty(ADAM_BLOCK)
+    scratch = None if rows is None else np.empty(ADAM_BLOCK, param.dtype)
     for block in _blocks(param.shape):
         p, mb, vb = param[block], m[block], v[block]
         if rows is None:
@@ -382,7 +392,7 @@ def rank_candidates_vae(
     for the tracer's ``multvae.rank`` span."""
     if user.n != model.config.n_items:
         raise ValueError(f"user vector has dimension {user.n} but model expects {model.config.n_items}")
-    _, mu = _encode(model, user.indices, np.ones(user.indices.size))
+    _, mu = _encode(model, user.indices, np.ones(user.indices.size, model.w_enc.dtype))
     h_dec = np.tanh(mu @ model.w_dec + model.b_dec)
     return (rows[candidates] * h_dec).sum(axis=1) + model.b_out[candidates]
 

@@ -29,6 +29,7 @@ from scenerec.multvae import (
 )
 from scenerec.synth import SynthConfig, generate_catalog
 from scenerec.wrmf import WrmfConfig, half_sweep, solve_row, train_wrmf
+from tests.conftest import float64_copy
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +159,7 @@ def test_vae_gradients_match_finite_differences():
             kl_weight=float(master.choice([0.0, 0.7, 1.5])),
             seed=instance,
         )
-        model = init_model(config, np.random.default_rng(instance))
+        model = float64_copy(init_model(config, np.random.default_rng(instance)))
         batch = (master.random((3, 6)) < 0.5).astype(float)
         rows, cols = np.nonzero(batch)
         noise_seed = 1000 + instance

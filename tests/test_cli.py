@@ -226,6 +226,13 @@ class TestEvalCommand:
         assert capsys.readouterr().err == "error: repeated algorithm name(s): oracle\n"
         assert not (tmp_path / "r.csv").exists()
 
+    def test_repeated_bin_fails_in_one_line(self, tmp_path, small_catalog_file, capsys):
+        code = run(["eval", "--catalog", small_catalog_file, "--algorithms", "oracle", "--bins", "0-4,10-19,0-4",
+                    "--trials", 1, "--seed", 1, "--out", tmp_path / "r.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: popularity bin [0, 4] given more than once\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_repeated_model_fails_in_one_line(self, tmp_path, small_catalog_file, trained_models, capsys):
         wrmf_path, _ = trained_models
         code = run(["eval", "--catalog", small_catalog_file, "--model", f"wrmf={wrmf_path}", "--model",

@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenerec import multvae
 from scenerec.catalog import SimilarityGraph, UserVector
 from scenerec.multvae import (
     ADAM_BLOCK,
@@ -26,6 +28,7 @@ from scenerec.multvae import (
 )
 from scenerec.persist import ModelMismatchError
 from scenerec.synth import SynthConfig, generate_catalog
+from tests.conftest import float64_copy
 
 
 def graph_from_lists(rows):
@@ -137,9 +140,9 @@ def dense_loss_and_gradients(model, batch, rng):
 
 
 def reference_loss_and_gradients(model, batch, rng):
-    """The training step on a dense batch: dense dropout, ``x_drop[:, used]``
-    and a zero-filled full-size ``w_enc`` gradient, with the same BLAS calls
-    as ``loss_and_gradients``."""
+    """The training step on a dense batch in the model's dtype: dense
+    dropout, ``x_drop[:, used]`` and a zero-filled full-size ``w_enc``
+    gradient, with the same BLAS calls as ``loss_and_gradients``."""
     cfg = model.config
     b = batch.shape[0]
     beta = cfg.kl_weight
@@ -150,7 +153,7 @@ def reference_loss_and_gradients(model, batch, rng):
     mu = h_enc @ model.w_mu + model.b_mu
     logvar = h_enc @ model.w_logvar + model.b_logvar
     sigma = np.exp(0.5 * logvar)
-    eps = rng.standard_normal(mu.shape)
+    eps = rng.standard_normal(mu.shape).astype(mu.dtype)
     z = mu + sigma * eps
     h_dec = np.tanh(z @ model.w_dec + model.b_dec)
     resid = h_dec @ model.w_out
@@ -184,8 +187,8 @@ def reference_loss_and_gradients(model, batch, rng):
 
 
 def reference_train(graph, config):
-    """``train_multvae``'s loop over dense batches (``rows_to_dense``) with
-    ``reference_loss_and_gradients`` and a dense ``adam_step`` call for
+    """``train_multvae``'s loop over float32 dense batches (``rows_to_dense``)
+    with ``reference_loss_and_gradients`` and a dense ``adam_step`` call for
     every parameter."""
     rng = np.random.default_rng(config.seed)
     model = init_model(config, rng)
@@ -197,7 +200,8 @@ def reference_train(graph, config):
         epoch_loss = 0.0
         for start in range(0, graph.n, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            loss, grads = reference_loss_and_gradients(model, rows_to_dense(graph, chunk), rng)
+            batch = rows_to_dense(graph, chunk).astype(np.float32)
+            loss, grads = reference_loss_and_gradients(model, batch, rng)
             updates += 1
             for name, param in model.params().items():
                 adam_step(
@@ -212,7 +216,7 @@ def reference_train(graph, config):
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
         rng = np.random.default_rng(5)
-        model = tiny_model(seed=5, dropout=0.2, kl_weight=0.7)
+        model = float64_copy(tiny_model(seed=5, dropout=0.2, kl_weight=0.7))
         batch = (rng.random((3, 6)) < 0.4).astype(float)
         assert_gradients_match(model, batch, noise_seed=123)
 
@@ -229,8 +233,8 @@ class TestGradients:
     def test_kl_term_disabled_at_beta_zero(self):
         rng = np.random.default_rng(9)
         batch = (rng.random((4, 6)) < 0.5).astype(float)
-        base = tiny_model(seed=2, dropout=0.0, kl_weight=0.0)
-        weighted = tiny_model(seed=2, dropout=0.0, kl_weight=1.5)
+        base = float64_copy(tiny_model(seed=2, dropout=0.0, kl_weight=0.0))
+        weighted = float64_copy(tiny_model(seed=2, dropout=0.0, kl_weight=1.5))
         loss0, _ = gradients(base, batch, np.random.default_rng(7))
         loss1, _ = gradients(weighted, batch, np.random.default_rng(7))
         # independent KL evaluation from a test-side forward pass
@@ -243,7 +247,7 @@ class TestGradients:
     @pytest.mark.parametrize("dropout", [0.0, 0.2])
     def test_restricted_encoder_matches_dense_reference(self, dropout):
         rng = np.random.default_rng(11)
-        model = tiny_model(seed=3, n=12, hidden=7, bottleneck=3, dropout=dropout, kl_weight=0.7)
+        model = float64_copy(tiny_model(seed=3, n=12, hidden=7, bottleneck=3, dropout=dropout, kl_weight=0.7))
         batch = (rng.random((5, 12)) < 0.4).astype(float)
         batch[2] = 0.0
         batch[:, 7] = 0.0
@@ -339,8 +343,9 @@ class TestAdam:
 
 
 def unblocked_adam_step(param, grad, m, v, t, lr, beta1, beta2, eps):
-    """The in-place sequence of ``adam_step``, each pass over whole arrays."""
-    correction2 = np.sqrt(1.0 - beta2**t)
+    """The in-place sequence of ``adam_step``, each pass over whole arrays,
+    with Python-float scalars so that float32 arrays stay float32."""
+    correction2 = math.sqrt(1.0 - beta2**t)
     step = lr * correction2 / (1.0 - beta1**t)
     m *= beta1
     v *= beta2
@@ -357,64 +362,66 @@ def unblocked_adam_step(param, grad, m, v, t, lr, beta1, beta2, eps):
 
 
 class TestRowSparseAdam:
-    # (200, 600) cuts into blocks of 54, 54, 54 and 38 rows
+    # (400, 600) cuts into blocks of 109, 109, 109 and 73 rows
     @pytest.mark.parametrize(
         "shape, rows",
         [
-            ((200, 600), [0, 3, 199]),  # the first and last blocks; the middle two have no rows
-            ((200, 600), [60, 61, 107, 108]),  # rows on both sides of a block boundary
-            ((200, 600), []),
-            ((200, 600), list(range(200))),
+            ((400, 600), [0, 3, 399]),  # the first and last blocks; the middle two have no rows
+            ((400, 600), [108, 109, 217, 218]),  # rows on both sides of a block boundary
+            ((400, 600), []),
+            ((400, 600), list(range(400))),
             ((3, ADAM_BLOCK + 5), [1]),  # one row is longer than a block
             ((5,), [0, 4]),
         ],
     )
     def test_equals_dense_call_on_zero_filled_gradient(self, shape, rows):
-        rng = np.random.default_rng(6)
         rows = np.asarray(rows, dtype=np.int64)
-        param, m, v = rng.standard_normal(shape), np.zeros(shape), np.zeros(shape)
-        ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
-        for t in range(1, 4):
-            grad = rng.standard_normal((rows.size, *shape[1:]))
-            dense = np.zeros(shape)
-            dense[rows] = grad
-            adam_step(ref_p, dense, ref_m, ref_v, t, 1e-3, 0.9, 0.999, 1e-8)
-            out = adam_step(param, grad, m, v, t, 1e-3, 0.9, 0.999, 1e-8, rows=rows)
-            assert out[0] is param and out[1] is m and out[2] is v
-        assert np.array_equal(param, ref_p) and np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
-        # momentum from earlier steps moves rows that have no gradient now
-        if 0 < rows.size < shape[0]:
-            other = np.setdiff1d(np.arange(shape[0]), rows)[0]
-            assert np.any(m[other] == 0.0)
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(6)
+            param, m, v = rng.standard_normal(shape).astype(dtype), np.zeros(shape, dtype), np.zeros(shape, dtype)
+            ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
+            for t in range(1, 4):
+                grad = rng.standard_normal((rows.size, *shape[1:])).astype(dtype)
+                dense = np.zeros(shape, dtype)
+                dense[rows] = grad
+                adam_step(ref_p, dense, ref_m, ref_v, t, 1e-3, 0.9, 0.999, 1e-8)
+                out = adam_step(param, grad, m, v, t, 1e-3, 0.9, 0.999, 1e-8, rows=rows)
+                assert out[0] is param and out[1] is m and out[2] is v
+            assert np.array_equal(param, ref_p) and np.array_equal(m, ref_m) and np.array_equal(v, ref_v), dtype
+            # momentum from earlier steps moves rows that have no gradient now
+            if 0 < rows.size < shape[0]:
+                other = np.setdiff1d(np.arange(shape[0]), rows)[0]
+                assert np.any(m[other] == 0.0)
 
 
 class TestAdamBlocks:
     @pytest.mark.parametrize(
         "shape, transposed",
         [
-            ((1000, 100), False),  # several blocks of 327 rows and a ragged last block
+            ((2000, 100), False),  # several blocks of 655 rows and a ragged last block
             ((2 * ADAM_BLOCK + 123,), False),  # 1-d, longer than one block
             ((3, ADAM_BLOCK + 5), False),  # one row is longer than a block
             ((300, 250), True),  # a transposed view, not contiguous
         ],
     )
     def test_blocked_update_equals_unblocked(self, shape, transposed):
-        rng = np.random.default_rng(4)
-        arrays = [rng.standard_normal(shape), np.zeros(shape), np.zeros(shape)]
-        if transposed:
-            arrays = [a.T for a in arrays]
-            assert not arrays[0].flags.c_contiguous
-        param, m, v = arrays
-        base = param.base
-        ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
-        for t in range(1, 4):
-            grad = rng.standard_normal(param.shape)
-            unblocked_adam_step(ref_p, grad.copy(), ref_m, ref_v, t, 1e-3, 0.9, 0.999, 1e-8)
-            out = adam_step(param, grad, m, v, t, 1e-3, 0.9, 0.999, 1e-8)
-            assert out[0] is param and out[1] is m and out[2] is v
-        assert np.array_equal(param, ref_p) and np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
-        if transposed:
-            assert np.array_equal(base.T, ref_p)
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(4)
+            arrays = [rng.standard_normal(shape).astype(dtype), np.zeros(shape, dtype), np.zeros(shape, dtype)]
+            if transposed:
+                arrays = [a.T for a in arrays]
+                assert not arrays[0].flags.c_contiguous
+            param, m, v = arrays
+            base = param.base
+            ref_p, ref_m, ref_v = param.copy(), m.copy(), v.copy()
+            for t in range(1, 4):
+                grad = rng.standard_normal(param.shape).astype(dtype)
+                unblocked_adam_step(ref_p, grad.copy(), ref_m, ref_v, t, 1e-3, 0.9, 0.999, 1e-8)
+                out = adam_step(param, grad, m, v, t, 1e-3, 0.9, 0.999, 1e-8)
+                assert out[0] is param and out[1] is m and out[2] is v
+            assert np.array_equal(param, ref_p) and np.array_equal(m, ref_m) and np.array_equal(v, ref_v), dtype
+            if transposed:
+                assert np.array_equal(base.T, ref_p)
 
 
 class TestLockstep:
@@ -465,10 +472,10 @@ class TestTraining:
         rng = np.random.default_rng(4)
         for name, param in model.params().items():
             if name.startswith("w_"):
-                expected = rng.standard_normal(param.shape) / np.sqrt(param.shape[0])
-                assert np.array_equal(param, expected), name
+                expected = (rng.standard_normal(param.shape) / np.sqrt(param.shape[0])).astype(np.float32)
+                assert param.dtype == np.float32 and np.array_equal(param, expected), name
             else:
-                assert not param.any(), name
+                assert param.dtype == np.float32 and not param.any(), name
 
     def test_divergence_reports_epoch(self):
         graph = graph_from_lists([[1], [0], [3], [2]])
@@ -508,6 +515,43 @@ class TestTraining:
                 VaeConfig(n_items=5, learning_rate=bad)
 
 
+class TestPrecision:
+    def test_training_and_scoring_stay_float32(self, monkeypatch):
+        # a default-dtype np.zeros or np.ones anywhere on the path would
+        # turn some array float64 from there on
+        adam_dtypes = set()
+        real_adam_step = multvae.adam_step
+
+        def recording_adam_step(param, grad, m, v, *args, **kwargs):
+            adam_dtypes.add((param.dtype, grad.dtype, m.dtype, v.dtype))
+            return real_adam_step(param, grad, m, v, *args, **kwargs)
+
+        monkeypatch.setattr(multvae, "adam_step", recording_adam_step)
+        graph = two_cliques_graph()
+        config = VaeConfig(n_items=10, hidden=6, bottleneck=2, batch_size=5, epochs=2, kl_weight=0.5, seed=3)
+        model, trace = train_multvae(graph, config)
+        float32 = np.dtype(np.float32)
+        assert trace.updates == 4 and adam_dtypes == {(float32,) * 4}
+        assert all(getattr(model, n).dtype == float32 for n in PARAM_NAMES)
+        _, grads, _ = loss_and_gradients(model, *coords(np.eye(10)[:4]), np.random.default_rng(0))
+        assert all(grads[n].dtype == float32 for n in PARAM_NAMES)
+        user = UserVector(np.asarray([1, 6], dtype=np.int64), 10)
+        assert rank_candidates_vae(model, user, [0, 7, 3], output_rows(model)).dtype == float32
+        assert predict(model, user).dtype == float32
+
+    def test_float32_step_draws_the_float64_stream(self):
+        # the noise is drawn in float64 and cast: a float32 draw would change
+        # the rng stream and every later batch order and mask
+        model = tiny_model(seed=1, dropout=0.2, kl_weight=0.5)
+        rows, cols, shape = coords(np.eye(6)[:4])
+        rng32, rng64, drawn = (np.random.default_rng(12) for _ in range(3))
+        loss_and_gradients(model, rows, cols, shape, rng32)
+        loss_and_gradients(float64_copy(model), rows, cols, shape, rng64)
+        drawn.random(shape)
+        drawn.standard_normal((shape[0], model.config.bottleneck))
+        assert rng32.bit_generator.state == rng64.bit_generator.state == drawn.bit_generator.state
+
+
 class TestPredict:
     def test_zero_parameters_give_zero_scores(self):
         model = tiny_model(n=6)
@@ -524,7 +568,7 @@ class TestPredict:
         assert np.array_equal(a, b)
 
     def test_restricted_encoder_matches_dense_reference(self):
-        model = tiny_model(seed=6, n=12, hidden=7, bottleneck=3)
+        model = float64_copy(tiny_model(seed=6, n=12, hidden=7, bottleneck=3))
         user = UserVector(np.asarray([0, 4, 9], dtype=np.int64), 12)
         x = user.to_dense()
         h_enc = np.tanh(x @ model.w_enc + model.b_enc)
@@ -611,6 +655,23 @@ class TestSerialization:
         loaded = load_vae_model(path, expected_index_hash="deadbeef")
         assert loaded.config == model.config
         assert all(np.array_equal(getattr(loaded, n), getattr(model, n)) for n in PARAM_NAMES)
+        assert all(getattr(loaded, n).dtype == np.float32 for n in PARAM_NAMES)
+
+    def test_float64_file_loads_and_scores_as_before(self, tmp_path):
+        model = float64_copy(tiny_model(seed=6, n=12, hidden=7, bottleneck=3))
+        path = tmp_path / "vae64.npz"
+        save_vae_model(model, path)
+        loaded = load_vae_model(path)
+        assert all(getattr(loaded, n).dtype == np.float64 for n in PARAM_NAMES)
+        user = UserVector(np.asarray([0, 4, 9], dtype=np.int64), 12)
+        candidates = [11, 2, 5, 0]
+        # the float64 scoring expression, seed vector included, that
+        # float64 files were scored with before training moved to float32
+        h_enc = np.tanh(np.ones(3) @ model.w_enc[user.indices] + model.b_enc)
+        h_dec = np.tanh((h_enc @ model.w_mu + model.b_mu) @ model.w_dec + model.b_dec)
+        expected = (np.ascontiguousarray(model.w_out.T)[candidates] * h_dec).sum(axis=1) + model.b_out[candidates]
+        scores = rank_candidates_vae(loaded, user, candidates, output_rows(loaded))
+        assert scores.dtype == np.float64 and np.array_equal(scores, expected)
 
     def test_hash_mismatch_rejected(self, tmp_path):
         model = tiny_model()
