@@ -11,11 +11,14 @@ two queries read it with array operations and return artist indices:
 ``top_popular_in_genre`` takes a prefix, ``artists_in_range`` a
 ``searchsorted`` slice put back in index (= id) order.
 On disk a catalog is JSON Lines, one artist per line with fields ``id``,
-``name``, ``popularity``, ``genres``, ``similar``. ``Catalog.build`` resolves
-every similar reference to an index in one pass, then sorts and dedupes the
-rows with one sort of row-major edge keys; only a bad reference sends it
-back over the lists in order, to name the first one. ``load_catalog`` keeps
-one string object per distinct id, however many similar lists name it.
+``name``, ``popularity``, ``genres``, ``similar``. ``load_catalog`` and
+``Catalog.build`` give each id a number on first sight, as an artist or as
+a similar reference, so the similar lists are kept as one array of numbers
+and no reference string outlives its line; one numpy pass maps the numbers
+to indices, then one sort of row-major edge keys sorts and dedupes the rows.
+Only a bad reference sends it back to the edges, to name the first one.
+``save_catalog`` encodes each id once and writes every line from those
+pieces.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import hashlib
 import itertools
 import json
 import math
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -62,7 +67,7 @@ class CatalogError(ValueError):
     similar-artist reference that cannot be resolved."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Artist:
     """One artist record. ``popularity`` is an integer on the 0-100 scale;
     ``genres`` is an ordered, possibly empty list of distinct tags."""
@@ -169,16 +174,57 @@ _NO_MEMBERS = GenreRanking(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int
 
 
 def _raise_first_bad_reference(
-    ordered: Sequence[Artist], refs: Sequence[Sequence[str]], index: Mapping[str, int]
+    ordered: Sequence[Artist], rows: np.ndarray, cols: np.ndarray, refs: np.ndarray, number: Mapping[str, int]
 ) -> None:
-    """Raise CatalogError for the first dangling or self reference, scanning
-    artists in id order and each similar list in its own order."""
-    for artist, similar in zip(ordered, refs):
-        for ref in similar:
-            if ref not in index:
-                raise CatalogError(f"artist {artist.id!r}: similar reference {ref!r} not in catalog")
-            if ref == artist.id:
-                raise CatalogError(f"artist {artist.id!r}: listed as similar to itself")
+    """Raise CatalogError for the first dangling (index -1) or self
+    reference, scanning artists in id order and each similar list in its
+    own order. An artist's edges are contiguous and in list order, so that
+    is the first bad edge of the smallest row."""
+    bad = np.flatnonzero((cols < 0) | (cols == rows))
+    first = bad[np.argmin(rows[bad])]
+    artist = ordered[rows[first]]
+    if cols[first] < 0:
+        ref = next(itertools.islice(number, int(refs[first]), None))
+        raise CatalogError(f"artist {artist.id!r}: similar reference {ref!r} not in catalog")
+    raise CatalogError(f"artist {artist.id!r}: listed as similar to itself")
+
+
+def _assemble(artists: list[Artist], counts: array, refs: array, number: defaultdict[str, int]) -> "Catalog":
+    """The catalog of ``artists``, where artist p's similar list is the next
+    ``counts[p]`` entries of ``refs``, each an id's number in ``number``.
+    Raises CatalogError on duplicate ids, then on the first dangling or
+    self reference."""
+    n = len(artists)
+    ids = [artist.id for artist in artists]
+    order = sorted(range(n), key=ids.__getitem__)
+    ordered = tuple(map(artists.__getitem__, order))
+    numbers = np.fromiter(map(number.__getitem__, ids), dtype=np.int64, count=n)
+    by_id = numbers[order]
+    # a repeated id is a repeated number, and repeats sit together in id order
+    repeated = by_id[1:] == by_id[:-1]
+    if repeated.any():
+        raise CatalogError(f"duplicate artist id {ordered[int(np.argmax(repeated))].id!r}")
+    # artist index by id number; -1 for an id that is only ever referenced
+    index_of = np.full(len(number), -1, dtype=np.int64)
+    index_of[by_id] = np.arange(n, dtype=np.int64)
+    rows = np.repeat(index_of[numbers], np.frombuffer(counts, dtype=np.int64))
+    targets = np.frombuffer(refs, dtype=np.int64)
+    cols = index_of[targets]
+    if np.any(cols < 0) or np.any(cols == rows):
+        _raise_first_bad_reference(ordered, rows, cols, targets, number)
+    # one row-major sort key per edge, built in the rows array itself:
+    # each extra edge-length array would cost 8 bytes per edge
+    key = rows
+    key *= n
+    key += cols
+    del cols
+    key.sort()
+    unique = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=unique[1:])
+    key = key[unique]
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    key %= n
+    return Catalog(ordered, SimilarityGraph(indptr, key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,36 +247,11 @@ class Catalog:
         similar lists. Raises CatalogError on duplicate ids, dangling
         references, or self-references; an artist missing from ``similar``
         gets an empty row. Each row ends up sorted and unique."""
-        ordered = tuple(sorted(artists, key=lambda a: a.id))
-        index: dict[str, int] = {}
-        for pos, artist in enumerate(ordered):
-            if artist.id in index:
-                raise CatalogError(f"duplicate artist id {artist.id!r}")
-            index[artist.id] = pos
-        n = len(ordered)
-        refs = [similar.get(artist.id, ()) for artist in ordered]
-        counts = np.fromiter(map(len, refs), dtype=np.int64, count=n)
-        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-        resolved = map(index.__getitem__, itertools.chain.from_iterable(refs))
-        try:
-            cols = np.fromiter(resolved, dtype=np.int64, count=rows.size)
-        except KeyError:
-            cols = None
-        if cols is None or np.any(cols == rows):
-            _raise_first_bad_reference(ordered, refs, index)
-        # one row-major sort key per edge, built in the rows array itself:
-        # each extra edge-length array would cost 8 bytes per edge
-        key = rows
-        key *= n
-        key += cols
-        del cols
-        key.sort()
-        unique = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=unique[1:])
-        key = key[unique]
-        indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-        key %= n
-        return cls(ordered, SimilarityGraph(indptr, key))
+        artists = list(artists)
+        lists = [similar.get(artist.id, ()) for artist in artists]
+        number: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+        refs = array("q", map(number.__getitem__, itertools.chain.from_iterable(lists)))
+        return _assemble(artists, array("q", map(len, lists)), refs, number)
 
     @property
     def n(self) -> int:
@@ -316,13 +337,13 @@ _REQUIRED_FIELDS = ("id", "name", "popularity", "genres", "similar")
 def load_catalog(path: str | Path) -> Catalog:
     """Load a JSON Lines catalog file. Rows end up sorted by id. Raises
     CatalogError on any malformed record, text that is not UTF-8, or an
-    unresolvable reference. Every occurrence of an id, as an artist or as a
-    similar reference, is one shared string object."""
+    unresolvable reference. Each id is numbered on first sight, so a
+    similar list is kept as its ids' numbers and no reference string
+    outlives its line."""
     artists: list[Artist] = []
-    similar: dict[str, list[str]] = {}
-    # first occurrence of each id string: the decoder makes a new string per
-    # reference, and ~20 copies per id would outlive the load in ``similar``
-    canonical: dict[str, str] = {}
+    number: defaultdict[str, int] = defaultdict(itertools.count().__next__)
+    counts = array("q")
+    refs = array("q")
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -335,42 +356,43 @@ def load_catalog(path: str | Path) -> Catalog:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CatalogError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(record, dict) or any(f not in record for f in _REQUIRED_FIELDS):
+            if not isinstance(record, dict) or not all(map(record.__contains__, _REQUIRED_FIELDS)):
                 raise CatalogError(f"{path}:{lineno}: record must have fields {', '.join(_REQUIRED_FIELDS)}")
             for field in ("id", "name"):
                 if not isinstance(record[field], str):
                     raise CatalogError(f"{path}:{lineno}: {field} must be a string")
-            if not isinstance(record["genres"], list) or not all(isinstance(g, str) for g in record["genres"]):
+            genres, similar = record["genres"], record["similar"]
+            if not isinstance(genres, list) or not all(map(isinstance, genres, itertools.repeat(str))):
                 raise CatalogError(f"{path}:{lineno}: genres must be a list of strings")
-            if not isinstance(record["similar"], list) or not all(isinstance(s, str) for s in record["similar"]):
+            if not isinstance(similar, list) or not all(map(isinstance, similar, itertools.repeat(str))):
                 raise CatalogError(f"{path}:{lineno}: similar must be a list of ids")
             try:
-                artist = Artist(
-                    id=canonical.setdefault(record["id"], record["id"]),
-                    name=record["name"],
-                    popularity=record["popularity"],
-                    genres=tuple(record["genres"]),
-                )
+                artist = Artist(record["id"], record["name"], record["popularity"], tuple(genres))
             except CatalogError as exc:
                 raise CatalogError(f"{path}:{lineno}: {exc}") from None
             artists.append(artist)
-            similar[artist.id] = list(map(canonical.setdefault, record["similar"], record["similar"]))
-    return Catalog.build(artists, similar)
+            counts.append(len(similar))
+            refs.extend(map(number.__getitem__, similar))
+    return _assemble(artists, counts, refs, number)
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write a catalog as JSON Lines; output is byte-deterministic for a
-    given catalog (rows in index order, similar lists in id order)."""
+    given catalog (rows in index order, similar lists in id order). Each
+    line is the bytes of ``json.dumps(record, ensure_ascii=False)``, put
+    together from each id's JSON text, encoded once."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    ids = np.array([encode(aid) for aid in catalog.ids], dtype=object)
+    similar = ids[catalog.graph.indices].tolist()
+    bounds = catalog.graph.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for i, artist in enumerate(catalog.artists):
-            record = {
-                "id": artist.id,
-                "name": artist.name,
-                "popularity": artist.popularity,
-                "genres": list(artist.genres),
-                "similar": [catalog.ids[j] for j in catalog.graph.row(i).tolist()],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for artist, aid, start, stop in zip(catalog.artists, ids, bounds, bounds[1:]):
+            name, genres = encode(artist.name), encode(list(artist.genres))
+            # %d writes an int as json does, with int.__repr__
+            fh.write(
+                '{"id": %s, "name": %s, "popularity": %d, "genres": %s, "similar": [%s]}\n'
+                % (aid, name, artist.popularity, genres, ", ".join(similar[start:stop]))
+            )
 
 
 def popularity_percentiles(catalog: Catalog) -> tuple[int, int, int, int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -163,7 +164,12 @@ def _print_report_rows(rows) -> None:
 
 def cmd_report(args: argparse.Namespace) -> int:
     path = resolve_path(args.infile)
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    # newline=None reads line ends as open() does in text mode
+    with io.StringIO(text, newline=None) as fh:
         # short rows read as empty fields, so a bad row fails in int()/float()
         reader = csv.DictReader(fh, restval="")
         missing = [c for c in evaluation.REPORT_COLUMNS if c not in (reader.fieldnames or ())]

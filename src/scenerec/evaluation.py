@@ -99,11 +99,13 @@ class ExperimentReport:
     resamples_per_bin: tuple[int, ...]
     failed_trials_per_bin: tuple[int, ...]
 
-    def row(self, algorithm: str, bin_lo: int) -> BinResult:
+    def row(self, algorithm: str, bin_range: tuple[int, int]) -> BinResult:
+        """The row of ``algorithm`` on the bin ``(bin_lo, bin_hi)``; bins
+        may share a lower bound."""
         for r in self.rows:
-            if r.algorithm == algorithm and r.bin_lo == bin_lo:
+            if r.algorithm == algorithm and (r.bin_lo, r.bin_hi) == bin_range:
                 return r
-        raise KeyError((algorithm, bin_lo))
+        raise KeyError((algorithm, bin_range))
 
 
 def sample_trial(catalog: Catalog, bin_range: tuple[int, int], rng: np.random.Generator) -> Trial:

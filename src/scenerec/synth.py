@@ -180,7 +180,12 @@ def _sample_rows(stream: _DrawStream, cum: np.ndarray, rows: np.ndarray, k: int,
     start = 0
     while start < rows.size:
         block = rows[start : start + per_block]
-        picks = np.searchsorted(cum, stream.peek(2 * k * block.size) * cum[-1], side="right")
+        draws = stream.peek(2 * k * block.size) * cum[-1]
+        # searched in sorted order, successive searches walk ``cum`` forward
+        # and stay in cache; the picks are scattered back to draw order
+        by_value = np.argsort(draws)
+        picks = np.empty(draws.size, dtype=np.int64)
+        picks[by_value] = np.searchsorted(cum, draws[by_value], side="right")
         picks = picks.reshape(block.size, 2 * k)
         # a stable sort puts each value's earliest draw first among its copies
         order = np.argsort(picks, axis=1, kind="stable")
@@ -238,6 +243,9 @@ def generate_catalog(config: SynthConfig) -> Catalog:
         by_genre_set.setdefault(tuple(sorted(chosen)), []).append(i)
 
     target_weight = (1.0 + popularity.astype(np.float64)) ** POPULARITY_BIAS_EXPONENT
+    # each group picks one of these products per target
+    intra_weight = config.intra_genre_prob * target_weight
+    cross_weight = config.cross_genre_prob * target_weight
 
     # Row i of the graph is picks[i, :length[i]]. Draw order stays fixed
     # (groups by key, artists by index) to keep the output deterministic.
@@ -247,7 +255,7 @@ def generate_catalog(config: SynthConfig) -> Catalog:
     for key in sorted(by_genre_set):
         members = np.asarray(by_genre_set[key])
         shares_genre = membership[list(key)].any(axis=0)
-        weights = np.where(shares_genre, config.intra_genre_prob, config.cross_genre_prob) * target_weight
+        weights = np.where(shares_genre, intra_weight, cross_weight)
         cum = np.cumsum(weights)
         n_positive = int(np.count_nonzero(weights))
         # an artist whose own weight is positive could draw itself

@@ -218,7 +218,7 @@ def test_popularity_trend_reproduction(catalog5k):
 
     means: dict[str, list[float]] = {}
     for name in scorers:
-        per_bin = [report.row(name, lo) for lo, _ in config.bins]
+        per_bin = [report.row(name, bin_range) for bin_range in config.bins]
         observed = [(i, r.mean_auc) for i, r in enumerate(per_bin) if r.n_trials > 0]
         assert len(observed) >= 8, f"{name}: too few populated bins"
         idx, values = zip(*observed)

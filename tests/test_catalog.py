@@ -125,6 +125,109 @@ class TestLoadCatalog:
         assert str(excinfo.value) == f"{path}:{bad_line}: not UTF-8 text (byte 0: invalid start byte)"
 
 
+class TestLoadErrorOrder:
+    """Which error a file with several faults reports: every line is checked
+    in file order first, then duplicate ids, then references."""
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # a bad line after a duplicate id and a dangling reference still wins
+            (['{"id": "a"', json.dumps(record("b", similar=["x", 5]))], ":1: invalid JSON"),
+            ([json.dumps(record("b", similar=["x", 5])), '{"id": "a"'], ":1: similar must be a list of ids"),
+            ([json.dumps(record("a", similar=["ghost"])), json.dumps(record("a")), json.dumps(record("c", pop=101))],
+             ":3: artist 'c': popularity 101 outside [0, 100]"),
+            ([json.dumps(record("a")), "", json.dumps(record("b", genres=["x", "x"])), "[1]"],
+             ":3: artist 'b': genre 'x' listed twice"),
+        ],
+    )
+    def test_first_bad_line_in_file_order_wins(self, tmp_path, lines, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CatalogError) as excinfo:
+            load_catalog(path)
+        assert str(excinfo.value).startswith(f"{path}{message}")
+
+    def test_duplicate_id_is_reported_before_a_dangling_reference(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record("a", similar=["ghost", "a"]), record("z"), record("m"), record("z"), record("m")])
+        with pytest.raises(CatalogError) as excinfo:
+            load_catalog(path)
+        # of two repeated ids, the smaller is named
+        assert str(excinfo.value) == "duplicate artist id 'm'"
+
+    @pytest.mark.parametrize(
+        "similar, message",
+        [
+            ({"c": ["ghost"], "b": ["b"], "a": ["c", "phantom", "a"]},
+             "artist 'a': similar reference 'phantom' not in catalog"),
+            ({"c": ["ghost"], "b": ["a", "b", "nobody"], "a": ["c"]}, "artist 'b': listed as similar to itself"),
+            # the dangling id is named even after other lines referenced it
+            ({"c": ["ghost", "ghost"], "b": ["ghost"], "a": []},
+             "artist 'b': similar reference 'ghost' not in catalog"),
+        ],
+    )
+    def test_first_bad_reference_in_id_order_then_list_order(self, tmp_path, similar, message):
+        # lines in the order c, b, a: file order is the reverse of id order
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record(aid, similar=refs) for aid, refs in similar.items()])
+        with pytest.raises(CatalogError) as excinfo:
+            load_catalog(path)
+        assert str(excinfo.value) == message
+
+
+# ids, names and genres beyond ASCII and with JSON's escapes: any text
+# UTF-8 can carry
+unicode_text = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\/\n\té日🎵\u2028'), max_size=6)
+
+
+class TestUnicodeRoundTrip:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_load_equals_build_and_save_is_a_fixed_point(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(unicode_text, min_size=1, max_size=10, unique=True))
+        genre_pool = data.draw(st.lists(unicode_text, min_size=1, max_size=4, unique=True))
+        artists = [
+            Artist(
+                id=aid,
+                name=data.draw(unicode_text),
+                popularity=data.draw(st.integers(0, 100)),
+                genres=tuple(data.draw(st.lists(st.sampled_from(genre_pool), max_size=3, unique=True))),
+            )
+            for aid in ids
+        ]
+        # references may repeat; no artist names itself
+        similar = {
+            aid: data.draw(st.lists(st.sampled_from([x for x in ids if x != aid]), max_size=5)) if len(ids) > 1 else []
+            for aid in ids
+        }
+        lines = [
+            json.dumps({"id": a.id, "name": a.name, "popularity": a.popularity, "genres": list(a.genres),
+                        "similar": similar[a.id]}, ensure_ascii=False)
+            for a in data.draw(st.permutations(artists))
+        ]
+        blanks = data.draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=3))
+        for blank in blanks:
+            lines.insert(data.draw(st.integers(0, len(lines))), blank)
+        path = tmp_path_factory.mktemp("u") / "c.jsonl"
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+
+        loaded = load_catalog(path)
+        assert loaded == Catalog.build(artists, similar)
+        saved = tmp_path_factory.mktemp("u") / "saved.jsonl"
+        save_catalog(loaded, saved)
+        # the bytes json.dumps gives each record, in index order
+        expected = "".join(
+            json.dumps({"id": a.id, "name": a.name, "popularity": a.popularity, "genres": list(a.genres),
+                        "similar": [loaded.ids[j] for j in loaded.graph.row(i).tolist()]}, ensure_ascii=False) + "\n"
+            for i, a in enumerate(loaded.artists)
+        )
+        assert saved.read_bytes() == expected.encode("utf-8")
+        again = tmp_path_factory.mktemp("u") / "again.jsonl"
+        save_catalog(load_catalog(saved), again)
+        assert again.read_bytes() == saved.read_bytes()
+
+
 class TestBuild:
     def test_unsorted_and_repeated_references_give_a_sorted_unique_row(self):
         catalog = build_catalog([(x, 10, []) for x in "dacb"], similar={"a": ["d", "b", "d", "c", "b"], "c": ["a", "a"]})

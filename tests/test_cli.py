@@ -355,6 +355,14 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:2: bad report row") and err.count("\n") == 1
 
+    def test_non_utf8_report_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_bytes(",".join(REPORT_COLUMNS).encode() + b"\noracle,0,9,3,1.0,0.0\n\xff\n")
+        assert run(["report", path]) == 1
+        err = capsys.readouterr().err
+        offset = len(",".join(REPORT_COLUMNS)) + len("\noracle,0,9,3,1.0,0.0\n")
+        assert err == f"error: {path}: not UTF-8 text (byte {offset}: invalid start byte)\n"
+
     def test_csv_without_report_columns_fails_in_one_line(self, tmp_path, capsys):
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")

@@ -185,6 +185,15 @@ class TestRunExperiment:
         report = run_experiment(synth_catalog, {"oracle": oracle_scorer, "random": random_scorer}, config)
         assert len(report.rows) == 32
 
+    def test_row_finds_each_of_two_bins_with_one_lower_bound(self, synth_catalog):
+        config = ExperimentConfig(bins=((0, 9), (0, 19)), trials_per_bin=3, master_seed=5)
+        report = run_experiment(synth_catalog, {"random": random_scorer}, config)
+        narrow, wide = report.row("random", (0, 9)), report.row("random", (0, 19))
+        assert (narrow.bin_lo, narrow.bin_hi) == (0, 9)
+        assert (wide.bin_lo, wide.bin_hi) == (0, 19)
+        with pytest.raises(KeyError):
+            report.row("random", (0, 4))
+
     def test_paired_design_shares_trials(self, synth_catalog):
         seen = {"a": [], "b": []}
 
