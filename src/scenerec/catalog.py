@@ -325,11 +325,6 @@ class UserVector:
         dense[self.indices] = 1.0
         return dense
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UserVector):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.indices, other.indices)
-
 
 _REQUIRED_FIELDS = ("id", "name", "popularity", "genres", "similar")
 

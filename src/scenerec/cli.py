@@ -289,10 +289,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_report.add_argument("infile", help="report CSV produced by eval")
     p_report.set_defaults(func=cmd_report, required_fields=())
 
-    # one file serves every subcommand, so each takes only its own flags
+    # one file serves every subcommand, so each takes only its own flags;
+    # each also knows its parser, which reports its missing flags
     for sp in (p_synth, p_train, p_eval, p_report):
         flags = [a for a in sp._actions if a.option_strings and a.dest in (defaults or {})]
-        sp.set_defaults(**{a.dest: _config_value(a, defaults[a.dest]) for a in flags})
+        sp.set_defaults(subparser=sp, **{a.dest: _config_value(a, defaults[a.dest]) for a in flags})
     return parser
 
 
@@ -326,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     missing = [f"--{name}" for name in args.required_fields if getattr(args, name) is None]
     if missing:
-        parser.error(f"the following arguments are required: {', '.join(missing)}")
+        args.subparser.error(f"the following arguments are required: {', '.join(missing)}")
     try:
         return args.func(args)
     except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError, FloatingPointError) as exc:

@@ -5,8 +5,9 @@ from a 20-genre pool, candidates are obscure-to-popular artists of those
 genres inside a fixed popularity range, and the listener's seeds are
 mainstream artists from 2 of the scene genres. A candidate is relevant when
 it carries at least one of the listener's seed genres. Every algorithm
-scores the same trial (paired design); ``run_experiment`` ranks each
-algorithm's scores in one place, descending with ties to the smaller id,
+scores the same trial (paired design). The rank rule lives in
+``run_experiment`` alone: one ``np.lexsort`` per scorer-trial, descending
+score with ties to the smaller id. ``auc`` counts the pairs of that order,
 and per-bin AUC means with standard errors land in a CSV report.
 
 Per-trial randomness comes from a stream derived from (master seed, bin
@@ -21,7 +22,7 @@ import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -160,19 +161,15 @@ def sample_trial(catalog: Catalog, bin_range: tuple[int, int], rng: np.random.Ge
 def auc(ranked_labels: Sequence[bool | int]) -> float:
     """AUC of a ranking given its relevance labels in ranked order: the
     fraction of (relevant, non-relevant) pairs where the relevant item comes
-    first. ``run_experiment`` has already broken score ties by id, so the
-    order is taken as final."""
-    n_rel = sum(1 for v in ranked_labels if v)
-    n_non = len(ranked_labels) - n_rel
+    first. The rank rule, ties to the smaller id, is ``run_experiment``'s
+    lexsort, so the order is taken as final."""
+    ranked = np.asarray(ranked_labels, dtype=bool)
+    n_rel = int(np.count_nonzero(ranked))
+    n_non = ranked.size - n_rel
     if n_rel == 0 or n_non == 0:
         raise ValueError("AUC needs at least one relevant and one non-relevant item")
-    correct = 0
-    rel_seen = 0
-    for label in ranked_labels:
-        if label:
-            rel_seen += 1
-        else:
-            correct += rel_seen
+    # each non-relevant item closes a pair with every relevant item above it
+    correct = int(np.cumsum(ranked)[~ranked].sum())
     return correct / (n_rel * n_non)
 
 
@@ -234,13 +231,16 @@ def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: Expe
             else:
                 failed[b] += 1
                 continue
+            # ids sort in catalog index order, so the smaller index is the
+            # smaller id
+            idx = np.fromiter(map(catalog.index.__getitem__, trial.candidate_ids), np.int64, len(trial.labels))
+            labels = np.array(trial.labels)
             for algo_idx, (name, score) in enumerate(selected):
                 algo_rng = np.random.default_rng([config.master_seed, b, t, algo_idx])
                 scores = np.asarray(score(trial, algo_rng), dtype=float)
-                if scores.shape != (len(trial.candidate_ids),) or not np.isfinite(scores).all():
+                if scores.shape != idx.shape or not np.isfinite(scores).all():
                     raise ValueError(f"scorer {name!r} must return one finite score per candidate")
-                ranked = sorted(zip((-scores).tolist(), trial.candidate_ids, trial.labels))
-                per_bin_aucs[(name, b)].append((t, auc([label for _, _, label in ranked])))
+                per_bin_aucs[(name, b)].append((t, auc(labels[np.lexsort((idx, -scores))])))
 
     rows: list[BinResult] = []
     for name, _ in selected:
@@ -263,27 +263,24 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(value)
 
 
-def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for r in report.rows:
-            writer.writerow([r.algorithm, r.bin_lo, r.bin_hi, r.n_trials, _fmt(r.mean_auc), _fmt(r.stderr)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_report_csv(report: ExperimentReport, path: str | Path) -> None:
+    rows = ([r.algorithm, r.bin_lo, r.bin_hi, r.n_trials, _fmt(r.mean_auc), _fmt(r.stderr)] for r in report.rows)
+    _write_csv(path, REPORT_COLUMNS, rows)
 
 
 def write_trials_csv(report: ExperimentReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "bin_lo", "bin_hi", "trial", "auc"])
-        for r in report.rows:
-            for trial_idx, value in r.trial_aucs:
-                writer.writerow([r.algorithm, r.bin_lo, r.bin_hi, trial_idx, repr(value)])
+    rows = ([r.algorithm, r.bin_lo, r.bin_hi, t, repr(value)] for r in report.rows for t, value in r.trial_aucs)
+    _write_csv(path, ("algorithm", "bin_lo", "bin_hi", "trial", "auc"), rows)
 
 
 def write_plot_data_csv(report: ExperimentReport, path: str | Path) -> None:
     """Plot-ready rows: bin midpoint, mean AUC, standard error."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "bin_mid", "mean_auc", "stderr"])
-        for r in report.rows:
-            writer.writerow([r.algorithm, (r.bin_lo + r.bin_hi) / 2.0, _fmt(r.mean_auc), _fmt(r.stderr)])
+    rows = ([r.algorithm, (r.bin_lo + r.bin_hi) / 2.0, _fmt(r.mean_auc), _fmt(r.stderr)] for r in report.rows)
+    _write_csv(path, ("algorithm", "bin_mid", "mean_auc", "stderr"), rows)

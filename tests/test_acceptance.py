@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from scenerec.catalog import SimilarityGraph, UserVector, load_catalog
+from scenerec.catalog import SimilarityGraph, load_catalog
 from scenerec.cli import main as cli_main
 from scenerec.evaluation import (
     ExperimentConfig,

@@ -99,6 +99,14 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match=r"c\.jsonl:1: similar must be a list of ids$"):
             load_catalog(path)
 
+    def test_string_genres_rejected(self, tmp_path):
+        # a string is a sequence of strings, but not a list of genres
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{**record("a"), "genres": "rock"}])
+        with pytest.raises(CatalogError) as excinfo:
+            load_catalog(path)
+        assert str(excinfo.value) == f"{path}:1: genres must be a list of strings"
+
     @pytest.mark.parametrize("field, value", [("id", None), ("id", 5), ("name", None), ("name", ["x"])])
     def test_non_string_id_or_name_rejected(self, tmp_path, field, value):
         path = tmp_path / "c.jsonl"

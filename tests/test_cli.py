@@ -100,6 +100,20 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "error: popularity_exponent must be finite, got nan\n"
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [(["synth", "--out", "x.jsonl"], "--seed"), (["eval", "--seed", 1], "--catalog, --out"),
+     (["train", "wrmf", "--seed", 1, "--out", "m.npz"], "--catalog")],
+)
+def test_missing_required_flag_is_reported_by_the_subcommand(argv, missing, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: scenerec {argv[0]} ")
+    assert err[-1] == f"scenerec {argv[0]}: error: the following arguments are required: {missing}"
+
+
 class TestTrainCommand:
     def test_wrmf_defaults_recorded(self, tmp_path, small_catalog_file):
         out = tmp_path / "w.npz"
@@ -219,6 +233,18 @@ class TestEvalCommand:
         assert code == 1
         assert capsys.readouterr().err == "error: unknown algorithm name(s): nope\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--model", "wrmf"], "--model must look like name=path, got 'wrmf'"),
+         ([], "nothing to evaluate: give --model and/or --algorithms")],
+    )
+    def test_bad_model_spec_or_nothing_to_run_fails_in_one_line(self, tmp_path, small_catalog_file, flags, message,
+                                                                capsys):
+        code = run(["eval", "--catalog", small_catalog_file, *flags, "--seed", 1, "--out", tmp_path / "r.csv"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_repeated_algorithm_fails_in_one_line(self, tmp_path, small_catalog_file, capsys):
         code = run(["eval", "--catalog", small_catalog_file, "--algorithms", "oracle,random,oracle", "--bins", "0-9",
                     "--trials", 1, "--seed", 1, "--out", tmp_path / "r.csv"])
@@ -308,7 +334,9 @@ class TestEvalCommand:
         assert err.startswith("error:") and "not a " + kind in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "damage", ["missing array", "truncated", "catalog jsonl", "wrmf array shape", "multvae array shape"]
+        "damage",
+        ["missing array", "truncated", "catalog jsonl", "wrmf array shape", "multvae array shape", "npy array",
+         "extra config key"],
     )
     def test_damaged_model_file_fails_in_one_line(self, tmp_path, small_catalog_file, trained_models, damage,
                                                   capsys):
@@ -320,11 +348,16 @@ class TestEvalCommand:
             broken.write_bytes(source.read_bytes()[:3000])
         elif damage == "catalog jsonl":
             broken = small_catalog_file
+        elif damage == "npy array":
+            broken = tmp_path / "broken.npy"
+            np.save(broken, np.zeros(3))
         else:
             with np.load(source) as data:
                 arrays = {name: data[name] for name in data.files}
             if damage == "missing array":
                 del arrays["col_factors"]
+            elif damage == "extra config key":
+                arrays["config_json"] = np.str_(json.dumps({**json.loads(str(arrays["config_json"])), "extra": 1}))
             else:
                 arrays[named[damage]] = arrays[named[damage]][:, :4]
             np.savez(broken, **arrays)
@@ -335,7 +368,10 @@ class TestEvalCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert damage not in named or named[damage] in err
         assert "shape" not in damage or (f"{broken}: array {named[damage]} has shape" in err)
-        assert damage != "catalog jsonl" or (f"{broken}: not a model file" in err and "pickle" not in err)
+        assert damage not in ("catalog jsonl", "npy array") or (
+            f"{broken}: not a model file" in err and "pickle" not in err
+        )
+        assert damage != "extra config key" or f"{broken}: not a wrmf model file (" in err and "extra" in err
 
 
 class TestReportCommand:
@@ -382,6 +418,13 @@ class TestConfigFileAndEnv:
         assert run(["synth", "--config", cfg, "--artists", 60, "--out", out2]) == 0
         assert load_catalog(out2).n == 60
 
+    def test_config_equals_path_spelling(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"artists": 120, "seed": 4}))
+        out = tmp_path / "one.jsonl"
+        assert run(["synth", f"--config={cfg}", "--out", out]) == 0
+        assert load_catalog(out).n == 120
+
     @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
     def test_missing_or_malformed_config_file_fails_in_one_line(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
@@ -404,6 +447,9 @@ class TestConfigFileAndEnv:
             # a single --model string is one model, not a list of characters
             pytest.param("eval", {"model": "wrmf=missing.npz"}, "[Errno 2] No such file or directory: 'missing.npz'",
                          id="one model string"),
+            pytest.param("eval", {"model": [1]},
+                         "--config {cfg}: model: expected a string or a list of strings, got [1]",
+                         id="non-string model"),
         ],
     )
     def test_bad_config_values_fail_in_one_line(self, tmp_path, small_catalog_file, capsys, command, values,

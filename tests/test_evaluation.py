@@ -180,6 +180,10 @@ class TestRunExperiment:
         values = [v for row in report.rows for _, v in row.trial_aucs]
         assert abs(float(np.mean(values)) - 0.5) < 0.03
 
+    def test_no_scorers_rejected(self, synth_catalog):
+        with pytest.raises(ValueError, match="no scorers to run"):
+            run_experiment(synth_catalog, {}, ExperimentConfig(bins=((0, 4),), trials_per_bin=1))
+
     def test_row_count_is_algorithms_times_bins(self, synth_catalog):
         config = ExperimentConfig(bins=DEFAULT_BINS, trials_per_bin=2, master_seed=0)
         report = run_experiment(synth_catalog, {"oracle": oracle_scorer, "random": random_scorer}, config)
@@ -311,6 +315,27 @@ def reference_auc(scores_by_id):
     triples by descending score, ties by ascending id."""
     ranked = sorted(scores_by_id, key=lambda c: (-c[1], c[0]))
     return auc([label for _, _, label in ranked])
+
+
+class TestTieRule:
+    # WRMF gives zero-in-degree artists exactly-zero column factors, so a
+    # model's scores mix 0.0 and -0.0; the two zeros tie, and the tie goes
+    # to the smaller id
+    @given(st.data(), st.sampled_from([1.0, 2.5, 1e-300, 5e-324, 1e300]), st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_signed_zeros_tie_to_the_smaller_id(self, synth_catalog, data, scale, master_seed):
+        expected = []
+
+        def signed(trial, rng):
+            values = st.sampled_from([-1.0, -0.0, 0.0, 1.0])
+            scores = [v * scale for v in data.draw(st.lists(values, min_size=len(trial.labels),
+                                                            max_size=len(trial.labels)))]
+            expected.append(reference_auc(list(zip(trial.candidate_ids, scores, trial.labels))))
+            return np.asarray(scores)
+
+        config = ExperimentConfig(bins=((0, 4), (20, 24)), trials_per_bin=2, master_seed=master_seed)
+        report = run_experiment(synth_catalog, {"signed": signed}, config)
+        assert [v for row in report.rows for _, v in row.trial_aucs] == expected
 
 
 class TestModelScorers:

@@ -493,6 +493,10 @@ class TestTraining:
         b, _ = train_multvae(graph, config)
         assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in PARAM_NAMES)
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="cannot train on an empty graph"):
+            train_multvae(graph_from_lists([]), VaeConfig(n_items=1, hidden=4, bottleneck=2))
+
     def test_graph_size_must_match_config(self):
         graph = two_cliques_graph()
         with pytest.raises(ValueError):
@@ -505,6 +509,8 @@ class TestTraining:
             VaeConfig(n_items=5, bottleneck=0)
         with pytest.raises(ValueError):
             VaeConfig(n_items=5, batch_size=0)
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            VaeConfig(n_items=5, epochs=-1)
         with pytest.raises(ValueError):
             VaeConfig(n_items=5, kl_weight=-0.5)
         for bad in (float("nan"), float("inf")):

@@ -296,6 +296,11 @@ class TestGenerateCatalog:
     def test_zero_artists_empty_catalog(self):
         assert generate_catalog(SynthConfig(seed=1, artist_count=0)).n == 0
 
+    def test_zero_genres_rejected_for_nonempty_catalog(self):
+        assert generate_catalog(SynthConfig(seed=1, artist_count=0, genre_count=0)).n == 0
+        with pytest.raises(ValueError, match="genre_count must be >= 1 for a nonempty catalog"):
+            generate_catalog(SynthConfig(seed=1, artist_count=30, genre_count=0))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(seed=1, intra_genre_prob=1.5)

@@ -219,6 +219,11 @@ class TestFoldIn:
         with pytest.raises(ValueError, match="seed"):
             fold_in_user(model, UserVector(np.asarray([], dtype=np.int64), 3))
 
+    def test_dimension_mismatch_rejected(self):
+        model = FactorModel(np.zeros((3, 2)), np.zeros((3, 2)), WrmfConfig(k=2))
+        with pytest.raises(ValueError, match="user vector has dimension 4 but model has 3"):
+            fold_in_user(model, UserVector(np.asarray([1], dtype=np.int64), 4))
+
     @pytest.mark.parametrize("lam", [0.2, 0.0], ids=["lam>0", "lam=0"])
     def test_fold_in_equals_row_update_code_path(self, lam):
         # every kind of row: Woodbury (r < k) and direct (r >= k) blocks when
