@@ -4,7 +4,8 @@ The catalog is the shared data model every other module samples from or
 trains on, and it is immutable after construction. Artists are sorted by id
 and share one dense index; the similarity graph over that index is held in
 CSR layout, one offsets array (``indptr``) into one flat array of similar
-indices (``indices``), so whole-graph operations are numpy calls. Genre
+indices (``indices``), so whole-graph operations are numpy calls and any
+set of rows is read with one gather, ``SimilarityGraph.edges``. Genre
 membership is held once, as a table per genre of its members ranked by
 popularity (most popular first, ties to the smaller index); trial sampling's
 two queries read it with array operations and return artist indices:
@@ -97,13 +98,6 @@ class SimilarityGraph:
     indptr: np.ndarray
     indices: np.ndarray
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "SimilarityGraph":
-        """The graph whose row i lists ``rows[i]``, taken as given."""
-        indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
-        indices = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
-        return cls(indptr, indices)
-
     @property
     def n(self) -> int:
         return self.indptr.size - 1
@@ -116,21 +110,27 @@ class SimilarityGraph:
         """View of the sorted indices similar to artist i."""
         return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
-    def _row_of_edges(self) -> np.ndarray:
-        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-
-    def to_dense(self) -> np.ndarray:
-        """0/1 float matrix; intended for small graphs in tests and oracles."""
-        dense = np.zeros((self.n, self.n))
-        dense[self._row_of_edges(), self.indices] = 1.0
-        return dense
+    def edges(self, rows: Sequence[int] | np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Every edge of ``rows`` (artist indices, repeats allowed), row by
+        row in their order: each edge's position in ``rows`` and its
+        target. ``None`` means every row, so positions are sources."""
+        if rows is None:
+            return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr)), self.indices
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        position = np.repeat(np.arange(rows.size, dtype=np.int64), counts)
+        # an edge's offset in indices: its row's start plus its rank in the row
+        firsts = np.cumsum(counts) - counts
+        return position, self.indices[np.arange(position.size) + np.repeat(starts - firsts, counts)]
 
     def transpose(self) -> "SimilarityGraph":
         """Incoming lists: a stable sort of the edges by target keeps each
         new row's sources in increasing order."""
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.indices, minlength=self.n))))
-        return SimilarityGraph(indptr, self._row_of_edges()[order])
+        source, target = self.edges()
+        order = np.argsort(target, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(target, minlength=self.n))))
+        return SimilarityGraph(indptr, source[order])
 
     def validate(self) -> None:
         """Raise CatalogError naming the first row with an index outside the
@@ -139,7 +139,7 @@ class SimilarityGraph:
         indptr, indices = self.indptr, self.indices
         if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size or np.any(np.diff(indptr) < 0):
             raise CatalogError("row offsets do not partition the similar indices")
-        row_of = self._row_of_edges()
+        row_of = self.edges()[0]
         # an edge that does not exceed the one before it in the same row
         unsorted = (np.diff(row_of, prepend=-1) == 0) & (np.diff(indices, prepend=0) <= 0)
         checks = {
@@ -320,11 +320,6 @@ class UserVector:
             raise CatalogError(f"unknown seed artist id {exc.args[0]!r}") from None
         return cls(np.asarray(idx, dtype=np.int64), catalog.n)
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.n)
-        dense[self.indices] = 1.0
-        return dense
-
 
 _REQUIRED_FIELDS = ("id", "name", "popularity", "genres", "similar")
 
@@ -394,10 +389,10 @@ def popularity_percentiles(catalog: Catalog) -> tuple[int, int, int, int]:
     """Nearest-rank 25/50/75/95th percentiles of the artists' popularity:
     the values at 1-based ranks ceil(p*n/100) of the ascending sort. An
     empty catalog is an error, not zeros."""
-    ordered = sorted(a.popularity for a in catalog.artists)
-    if not ordered:
+    ordered = np.sort(catalog.popularities)
+    if not ordered.size:
         raise CatalogError("popularity percentiles of an empty catalog")
-    return tuple(ordered[math.ceil(p * len(ordered) / 100) - 1] for p in (25, 50, 75, 95))
+    return tuple(int(ordered[math.ceil(p * ordered.size / 100) - 1]) for p in (25, 50, 75, 95))
 
 
 def artists_in_range(catalog: Catalog, genre: str, lo: int, hi: int) -> np.ndarray:

@@ -320,7 +320,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --config {config_path}: {exc}", file=sys.stderr)
             return 1
     parser = build_parser(defaults)
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     bad = [v for v in vars(args).values() if isinstance(v, ValueError)]
     if bad:
         print(f"error: --config {config_path}: {bad[0]}", file=sys.stderr)

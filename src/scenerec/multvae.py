@@ -11,8 +11,8 @@ driven purely by input dropout. Optimization is mini-batch Adam with
 gradients written out by hand (no autograd), which keeps the whole model a
 deterministic function of its seed.
 
-A batch reaches the training step as the coordinates of its ones, read
-from the graph's CSR arrays, never as a dense (batch, n_items) matrix. The
+A batch reaches the training step as the coordinates of its ones, which
+``SimilarityGraph.edges`` gathers, never as a dense (batch, n_items) matrix. The
 dropout draw is one uniform per batch cell, the rng stream of dense
 dropout, and it is read only at the ones. The encoder multiplies only the
 input columns that survive in some row of the batch (a similarity row has
@@ -308,22 +308,8 @@ def adam_step(
 
 def rows_to_dense(graph: SimilarityGraph, indices: Sequence[int]) -> np.ndarray:
     dense = np.zeros((len(indices), graph.n))
-    for pos, i in enumerate(indices):
-        dense[pos, graph.row(i)] = 1.0
+    dense[graph.edges(indices)] = 1.0
     return dense
-
-
-def rows_to_coords(graph: SimilarityGraph, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of the ones of ``rows_to_dense(graph, indices)``, row by
-    row: batch row positions and artist columns, read from the CSR arrays."""
-    starts = graph.indptr[indices]
-    counts = graph.indptr[indices + 1] - starts
-    rows = np.repeat(np.arange(len(indices)), counts)
-    # each edge's offset in graph.indices: its row's start plus its rank
-    # within the row
-    firsts = np.cumsum(counts) - counts
-    cols = graph.indices[np.arange(rows.size) + np.repeat(starts - firsts, counts)]
-    return rows, cols
 
 
 def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str = "") -> tuple[VaeModel, TrainTrace]:
@@ -349,7 +335,7 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
         epoch_loss = 0.0
         for start in range(0, graph.n, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            rows, cols = rows_to_coords(graph, chunk)
+            rows, cols = graph.edges(chunk)
             # divergence surfaces as a non-finite loss and is raised below;
             # the overflow warnings on the way there are just noise
             with np.errstate(over="ignore", invalid="ignore"):

@@ -70,13 +70,15 @@ def snowball_crawl(catalog: Catalog, seeds: Sequence[str], limit: int) -> Catalo
         new = row[~seen[row]]
         seen[new] = True
         queue.extend(new.tolist())
-    keep = sorted(queue[:limit])
+    keep = np.sort(np.array(queue[:limit], dtype=np.int64))
     remap = np.full(catalog.n, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
+    remap[keep] = np.arange(keep.size)
     # the remap keeps each row sorted; unfetched targets map to -1
-    rows = [remap[catalog.graph.row(i)] for i in keep]
-    graph = SimilarityGraph.from_rows([row[row >= 0] for row in rows])
-    return Catalog(tuple(catalog.artists[i] for i in keep), graph)
+    position, target = catalog.graph.edges(keep)
+    target = remap[target]
+    fetched = target >= 0
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(position[fetched], minlength=keep.size))))
+    return Catalog(tuple(catalog.artists[i] for i in keep.tolist()), SimilarityGraph(indptr, target[fetched]))
 
 
 @dataclass(frozen=True)

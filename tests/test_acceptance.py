@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from scenerec.catalog import SimilarityGraph, load_catalog
+from scenerec.catalog import load_catalog
 from scenerec.cli import main as cli_main
 from scenerec.evaluation import (
     ExperimentConfig,
@@ -29,7 +29,7 @@ from scenerec.multvae import (
 )
 from scenerec.synth import SynthConfig, generate_catalog
 from scenerec.wrmf import WrmfConfig, half_sweep, solve_row, train_wrmf
-from tests.conftest import float64_copy
+from tests.conftest import float64_copy, graph_from_rows
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def test_als_correctness():
         rows = tuple(
             np.flatnonzero((rng.random(n) < density) & (np.arange(n) != i)).astype(np.int64) for i in range(n)
         )
-        graph = SimilarityGraph.from_rows(rows)
+        graph = graph_from_rows(rows)
         config = WrmfConfig(
             k=k,
             lam=float(rng.uniform(0.05, 1.0)),

@@ -18,7 +18,7 @@ from scenerec.catalog import (
     save_catalog,
     top_popular_in_genre,
 )
-from tests.conftest import build_catalog
+from tests.conftest import build_catalog, dense_graph, dense_user, graph_from_rows
 
 
 def write_jsonl(path, records):
@@ -290,7 +290,7 @@ class TestBuild:
         catalog = Catalog.build(artists, similar)
         assert catalog.ids == tuple(ordered)
         rows = [sorted({ordered.index(ref) for ref in similar.get(aid, [])}) for aid in ordered]
-        assert catalog.graph == SimilarityGraph.from_rows(rows)
+        assert catalog.graph == graph_from_rows(rows)
 
 
 ids_strategy = st.lists(st.from_regex(r"[a-z]{1,6}", fullmatch=True), min_size=1, max_size=12, unique=True)
@@ -349,7 +349,8 @@ class TestPercentiles:
     def test_matches_sort_and_index_oracle(self, pops):
         ordered = sorted(pops)
         expected = tuple(ordered[math.ceil(p * len(ordered) / 100) - 1] for p in (25, 50, 75, 95))
-        assert popularity_percentiles(build_catalog([(f"a{i:02d}", p, []) for i, p in enumerate(pops)])) == expected
+        result = popularity_percentiles(build_catalog([(f"a{i:02d}", p, []) for i, p in enumerate(pops)]))
+        assert result == expected and all(type(value) is int for value in result)
 
 
 def assert_indices(result, catalog, ids):
@@ -473,12 +474,12 @@ class TestTypes:
         ]:
             # row 3 is bad too: the first bad row is the one named
             with pytest.raises(CatalogError, match=f"row 2: .*{message}"):
-                SimilarityGraph.from_rows([[1, 3], [], bad_row, [0, 0]]).validate()
+                graph_from_rows([[1, 3], [], bad_row, [0, 0]]).validate()
 
     def test_user_vector_from_ids(self, six_artists):
         user = UserVector.from_ids(six_artists, ["b", "a", "b"])
         assert list(user.indices) == [0, 1]
-        dense = user.to_dense()
+        dense = dense_user(user)
         assert dense.sum() == 2 and dense[0] == 1.0
 
     def test_user_vector_unknown_id(self, six_artists):
@@ -496,7 +497,7 @@ def similarity_graphs(draw):
     n = draw(st.integers(0, 12))
     rows = [sorted(draw(st.sets(st.sampled_from([j for j in range(n) if j != i]), max_size=4))) if n > 1 else []
             for i in range(n)]
-    return SimilarityGraph.from_rows(rows)
+    return graph_from_rows(rows)
 
 
 class TestSimilarityGraph:
@@ -506,12 +507,32 @@ class TestSimilarityGraph:
         graph.validate()
         transposed = graph.transpose()
         transposed.validate()
-        assert np.array_equal(transposed.to_dense(), graph.to_dense().T)
+        assert np.array_equal(dense_graph(transposed), dense_graph(graph).T)
         assert transposed.transpose() == graph
         assert transposed.edge_count == graph.edge_count
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edges_are_the_rows_concatenated_in_list_order(self, data):
+        graph = data.draw(similarity_graphs())
+        # unsorted, repeated or empty; a list or an array
+        rows = data.draw(st.lists(st.integers(0, graph.n - 1), max_size=20) if graph.n else st.just([]))
+        position, target = graph.edges(data.draw(st.sampled_from([rows, np.asarray(rows, dtype=np.int64)])))
+        lens = [graph.row(i).size for i in rows]
+        assert np.array_equal(target, np.concatenate([np.empty(0, dtype=np.int64), *map(graph.row, rows)]))
+        assert np.array_equal(position, np.repeat(np.arange(len(rows)), lens))
+        assert position.dtype == target.dtype == np.int64
+
+    @settings(max_examples=100, deadline=None)
+    @given(similarity_graphs())
+    def test_edges_without_rows_cover_every_row(self, graph):
+        position, target = graph.edges()
+        every_position, every_target = graph.edges(list(range(graph.n)))
+        assert np.array_equal(position, every_position) and np.array_equal(target, every_target)
+        assert position.dtype == np.int64 and target.size == graph.edge_count
+
     def test_row_is_a_view_of_the_csr_arrays(self):
-        graph = SimilarityGraph.from_rows([[1, 2], [], [0]])
+        graph = graph_from_rows([[1, 2], [], [0]])
         assert graph.n == 3 and graph.edge_count == 3
         assert list(graph.indptr) == [0, 2, 2, 3] and graph.indptr.dtype == graph.indices.dtype == np.int64
         assert list(graph.row(0)) == [1, 2] and graph.row(1).size == 0

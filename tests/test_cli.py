@@ -114,6 +114,20 @@ def test_missing_required_flag_is_reported_by_the_subcommand(argv, missing, caps
     assert err[-1] == f"scenerec {argv[0]}: error: the following arguments are required: {missing}"
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [(["synth", "--trials", "abc"], "--trials abc"), (["train", "wrmf", "--bogus"], "--bogus"),
+     (["eval", "--k", 8, "--seed", 1], "--k 8"), (["report", "report.csv", "more.csv"], "more.csv")],
+)
+def test_unknown_argument_is_reported_by_the_subcommand(argv, extra, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"usage: scenerec {argv[0]} ")
+    assert err[-1] == f"scenerec {argv[0]}: error: unrecognized arguments: {extra}"
+
+
 class TestTrainCommand:
     def test_wrmf_defaults_recorded(self, tmp_path, small_catalog_file):
         out = tmp_path / "w.npz"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenerec import multvae
-from scenerec.catalog import SimilarityGraph, UserVector
+from scenerec.catalog import UserVector
 from scenerec.multvae import (
     ADAM_BLOCK,
     PARAM_NAMES,
@@ -21,18 +21,17 @@ from scenerec.multvae import (
     output_rows,
     predict,
     rank_candidates_vae,
-    rows_to_coords,
     rows_to_dense,
     save_vae_model,
     train_multvae,
 )
 from scenerec.persist import ModelMismatchError
 from scenerec.synth import SynthConfig, generate_catalog
-from tests.conftest import float64_copy
+from tests.conftest import dense_user, float64_copy, graph_from_rows
 
 
 def graph_from_lists(rows):
-    return SimilarityGraph.from_rows([sorted(r) for r in rows])
+    return graph_from_rows([sorted(r) for r in rows])
 
 
 def two_cliques_graph():
@@ -576,7 +575,7 @@ class TestPredict:
     def test_restricted_encoder_matches_dense_reference(self):
         model = float64_copy(tiny_model(seed=6, n=12, hidden=7, bottleneck=3))
         user = UserVector(np.asarray([0, 4, 9], dtype=np.int64), 12)
-        x = user.to_dense()
+        x = dense_user(user)
         h_enc = np.tanh(x @ model.w_enc + model.b_enc)
         mu = h_enc @ model.w_mu + model.b_mu
         expected = np.tanh(mu @ model.w_dec + model.b_dec) @ model.w_out + model.b_out
@@ -696,7 +695,7 @@ class TestRowsToDense:
     def test_coordinates_are_the_ones_of_the_dense_rows(self):
         graph = graph_from_lists([[1, 2], [0], [], [0, 1, 2, 4], [3]])
         indices = np.array([3, 2, 0, 4, 3])
-        rows, cols = rows_to_coords(graph, indices)
+        rows, cols = graph.edges(indices)
         assert np.array_equal(np.stack(np.nonzero(rows_to_dense(graph, indices))), np.stack([rows, cols]))
-        empty_rows, empty_cols = rows_to_coords(graph, np.array([2], dtype=np.int64))
+        empty_rows, empty_cols = graph.edges(np.array([2], dtype=np.int64))
         assert empty_rows.size == 0 and empty_cols.size == 0

@@ -17,7 +17,7 @@ from scenerec.synth import (
     genre_names,
     snowball_crawl,
 )
-from tests.conftest import build_catalog
+from tests.conftest import build_catalog, graph_from_rows
 from tests.test_catalog import catalogs
 
 
@@ -52,6 +52,29 @@ def reference_crawl(catalog, seeds, limit):
                 frontier.append(ref)
     kept = {aid: [ref for ref in refs if ref in fetched] for aid, refs in fetched.items()}
     return Catalog.build([by_id[aid] for aid in fetched], kept)
+
+
+def reference_remap_crawl(catalog, seeds, limit):
+    """``snowball_crawl`` with its sub-catalog built one kept row at a time:
+    each row's targets remapped to the kept numbering, the unfetched ones
+    (mapped to -1) dropped."""
+    queue_ids = list(dict.fromkeys(seeds))[:limit]
+    queue = [catalog.index[s] for s in queue_ids]
+    seen = np.zeros(catalog.n, dtype=bool)
+    seen[queue] = True
+    head = 0
+    while head < len(queue) < limit:
+        row = catalog.graph.row(queue[head])
+        head += 1
+        new = row[~seen[row]]
+        seen[new] = True
+        queue.extend(new.tolist())
+    keep = sorted(queue[:limit])
+    remap = np.full(catalog.n, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    rows = [remap[catalog.graph.row(i)] for i in keep]
+    graph = graph_from_rows([row[row >= 0] for row in rows])
+    return Catalog(tuple(catalog.artists[i] for i in keep), graph)
 
 
 class TestSnowballCrawl:
@@ -116,6 +139,18 @@ class TestSnowballCrawl:
         save_catalog(crawled, root / "crawled.jsonl")
         save_catalog(expected, root / "expected.jsonl")
         assert (root / "crawled.jsonl").read_bytes() == (root / "expected.jsonl").read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_remap(self, data):
+        catalog = data.draw(catalogs())
+        seeds = data.draw(st.lists(st.sampled_from(catalog.ids), max_size=5))
+        # every seed listed twice
+        seeds += seeds[::-1]
+        limit = data.draw(st.sampled_from([0, 1, catalog.n // 2, catalog.n, catalog.n + 3]))
+        crawled = snowball_crawl(catalog, seeds, limit)
+        assert crawled == reference_remap_crawl(catalog, seeds, limit)
+        assert crawled.graph.indptr.dtype == crawled.graph.indices.dtype == np.int64
 
     def test_fixture_provider_round_trip(self, tmp_path):
         catalog = generate_catalog(SynthConfig(seed=11, artist_count=30, similar_per_artist=3))

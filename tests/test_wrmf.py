@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenerec import wrmf
-from scenerec.catalog import SimilarityGraph, UserVector
+from scenerec.catalog import UserVector
 from scenerec.persist import ModelMismatchError
 from scenerec.wrmf import (
     FactorModel,
@@ -19,10 +19,11 @@ from scenerec.wrmf import (
     solve_row,
     train_wrmf,
 )
+from tests.conftest import dense_graph, graph_from_rows
 
 
 def graph_from_lists(rows):
-    return SimilarityGraph.from_rows([sorted(r) for r in rows])
+    return graph_from_rows([sorted(r) for r in rows])
 
 
 def random_graph(rng, n, density=0.15):
@@ -87,7 +88,7 @@ class TestObjective:
             x = rng.standard_normal((n, 4))
             y = rng.standard_normal((n, 4))
             model = FactorModel(x, y, WrmfConfig(k=4, lam=0.3, alpha=7.0))
-            expected = dense_objective(x, y, graph.to_dense(), 0.3, 7.0)
+            expected = dense_objective(x, y, dense_graph(graph), 0.3, 7.0)
             assert objective(model, graph) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
@@ -121,7 +122,7 @@ class TestTraining:
         # needs many (cheap) sweeps to settle at the optimum
         config = WrmfConfig(k=2, lam=0.1, alpha=15.0, sweeps=1000, seed=5)
         model = train_wrmf(graph, config)
-        dense_p = graph.to_dense()
+        dense_p = dense_graph(graph)
         n, k = 6, 2
 
         def flat_obj(theta):
@@ -229,7 +230,7 @@ class TestFoldIn:
         # every kind of row: Woodbury (r < k) and direct (r >= k) blocks when
         # lam > 0, direct blocks only when lam = 0
         rng = np.random.default_rng(31)
-        graph = SimilarityGraph.from_rows(mixed_degree_rows(rng, 40, 6))
+        graph = graph_from_rows(mixed_degree_rows(rng, 40, 6))
         config = WrmfConfig(k=6, lam=lam, alpha=15.0, sweeps=3, seed=9)
         model = train_wrmf(graph, config)
         x = model.row_factors.copy()
@@ -354,13 +355,13 @@ class TestHalfSweep:
         other = rng.standard_normal((n, k))
         this = rng.standard_normal((n, k))
         expected = np.stack([dense_ridge(other, obs, lam, alpha) for obs in rows])
-        half_sweep(SimilarityGraph.from_rows(rows), this, other, lam, alpha)
+        half_sweep(graph_from_rows(rows), this, other, lam, alpha)
         np.testing.assert_allclose(this, expected, rtol=1e-10, atol=1e-12)
         assert all(not this[i].any() for i, obs in enumerate(rows) if obs.size == 0)
 
     def test_alpha_zero_trains_monotone(self):
         rng = np.random.default_rng(5)
-        graph = SimilarityGraph.from_rows(mixed_degree_rows(rng, 40, 6))
+        graph = graph_from_rows(mixed_degree_rows(rng, 40, 6))
         trace = train_wrmf(graph, WrmfConfig(k=6, lam=0.3, alpha=0.0, sweeps=4, seed=1)).objective_trace
         assert all(np.isfinite(trace))
         for a, b in zip(trace, trace[1:]):
