@@ -70,6 +70,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.trials_per_bin < 1:
             raise ValueError("trials_per_bin must be >= 1")
         seen = set()

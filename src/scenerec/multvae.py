@@ -90,6 +90,8 @@ class VaeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_items < 1 or self.hidden < 1 or self.bottleneck < 1:
             raise ValueError("n_items, hidden and bottleneck must be >= 1")
         if not 0.0 <= self.dropout < 1.0:

@@ -5,15 +5,20 @@ from seed artists: it walks a catalog's similarity graph breadth-first from
 a seed set until it hits a fetch limit, and keeps the sub-catalog it reached.
 The generator fabricates a whole catalog with long-tail popularity and
 genre-clustered similar lists, so experiments can run at desk scale without
-any external service. It works in index space: after each artist's genre
-draws, the similar lists are drawn group by group (artists sharing a genre
-set) from one stream of doubles, most rows a block at a time with array
-operations, and written straight into the CSR graph; id strings are made
-only for the artist records.
+any external service. It works in index space. Every artist's genre set is
+decoded in one pass from the bit generator's raw PCG64 words: the values,
+and the generator state after them, that one ``rng.integers`` and one
+``rng.choice(..., replace=False)`` per artist would give (so a catalog
+depends on those words and on numpy's bounded-draw algorithm, which the
+tests check against the per-artist calls). Then the similar lists are drawn
+group by group (artists sharing a genre set) from one stream of doubles,
+most rows a block at a time with array operations, and written straight
+into the CSR graph; id strings are made only for the artist records.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -101,6 +106,8 @@ class SynthConfig:
     similar_per_artist: int = 20
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.artist_count < 0 or self.genre_count < 0:
             raise ValueError("counts must be >= 0")
         if not (0.0 <= self.intra_genre_prob <= 1.0 and 0.0 <= self.cross_genre_prob <= 1.0):
@@ -208,6 +215,78 @@ def _sample_rows(stream: _DrawStream, cum: np.ndarray, rows: np.ndarray, k: int,
             start += 1
 
 
+# PCG64 words read ahead per refill of the genre decode: a few thousand
+# artists' draws, most of them two words each.
+_WORD_BLOCK = 4096
+
+_HALF = 1 << 32
+
+
+def _draw_genre_sets(rng: np.random.Generator, n: int, genre_count: int) -> list[list[int]]:
+    """The lists that ``n`` rounds of ``count = rng.integers(1, min(3,
+    genre_count) + 1)`` then ``rng.choice(genre_count, size=count,
+    replace=False).tolist()`` return, leaving ``rng`` in the state those
+    calls would (``rng`` must be PCG64-backed).
+
+    Both calls take 32-bit halves from the bit generator: each 64-bit word
+    gives its low half, and keeps its high half for the next call. A bounded
+    draw on [0, r] is Lemire's method: m = half * (r + 1), taking the next
+    half while m mod 2**32 < (2**32 - (r + 1)) mod (r + 1), and the value is
+    m >> 32; r = 0 reads nothing. ``choice`` runs Floyd's algorithm (for j
+    from genre_count - count to genre_count - 1, take bounded(j), or j if
+    that is taken), then shuffles: for i from count - 1 down to 1, swap
+    items i and bounded(i). The words are read ahead on a copy of the bit
+    generator and decoded in Python ints; ``rng`` then skips the words used.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    ahead = type(bitgen)()
+    ahead.state = start
+    # halves[pos] is the next half; halves[pos - 1] the last one handed out
+    halves = [start["uinteger"]]
+    pos = 0 if start["has_uint32"] else 1
+    read = 0
+
+    def bounded(r: int) -> int:
+        nonlocal halves, pos, read
+        if r == 0:
+            return 0
+        threshold = (_HALF - r - 1) % (r + 1)
+        while True:
+            if pos == len(halves):
+                # little-endian halves: each word's low half comes first
+                halves = ahead.random_raw(_WORD_BLOCK).astype("<u8").view("<u4").tolist()
+                pos = 0
+                read += _WORD_BLOCK
+            m = halves[pos] * (r + 1)
+            pos += 1
+            if m % _HALF >= threshold:
+                return m >> 32
+
+    top = min(3, genre_count) - 1
+    sets = []
+    for _ in range(n):
+        count = bounded(top) + 1
+        chosen: list[int] = []
+        for j in range(genre_count - count, genre_count):
+            v = bounded(j)
+            chosen.append(j if v in chosen else v)
+        for i in range(count - 1, 0, -1):
+            s = bounded(i)
+            chosen[i], chosen[s] = chosen[s], chosen[i]
+        sets.append(chosen)
+
+    # an odd number of unused halves leaves a high half buffered; numpy keeps
+    # the last high half in ``uinteger`` even after handing it out
+    unused = len(halves) - pos
+    buffered = unused % 2
+    bitgen.advance(read - unused // 2)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = buffered, halves[pos - 1 + buffered]
+    bitgen.state = state
+    return sets
+
+
 def generate_catalog(config: SynthConfig) -> Catalog:
     """Deterministic synthetic catalog: long-tail popularity, 1-3 genres per
     artist, and similar lists that prefer same-genre and higher-popularity
@@ -231,17 +310,20 @@ def generate_catalog(config: SynthConfig) -> Catalog:
     pop_weights /= pop_weights.sum()
     popularity = rng.choice(101, size=n, p=pop_weights)
 
-    # Artists sharing a genre set see identical target weights, so they are
-    # grouped by their sorted genre indices and each cumulative weight vector
-    # is built once. Membership is genre-major so a group reads whole rows.
+    # Each artist's 1-3 genres, in draw order, decoded from the raw words in
+    # one pass rather than by two numpy calls per artist (same values, same
+    # rng state after). Artists sharing a genre set see identical target
+    # weights, so they are grouped by their sorted genre indices and each
+    # cumulative weight vector is built once. Membership is genre-major so a
+    # group reads whole rows.
+    genre_sets = _draw_genre_sets(rng, n, config.genre_count)
+    sizes = np.fromiter(map(len, genre_sets), dtype=np.int64, count=n)
+    flat = np.fromiter(itertools.chain.from_iterable(genre_sets), dtype=np.int64)
     membership = np.zeros((config.genre_count, n), dtype=bool)
-    genre_lists: list[tuple[str, ...]] = []
+    membership[flat, np.repeat(np.arange(n), sizes)] = True
+    genre_lists = [tuple(map(genres.__getitem__, chosen)) for chosen in genre_sets]
     by_genre_set: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n):
-        count = int(rng.integers(1, min(3, config.genre_count) + 1))
-        chosen = rng.choice(config.genre_count, size=count, replace=False).tolist()
-        membership[chosen, i] = True
-        genre_lists.append(tuple(genres[g] for g in chosen))
+    for i, chosen in enumerate(genre_sets):
         by_genre_set.setdefault(tuple(sorted(chosen)), []).append(i)
 
     target_weight = (1.0 + popularity.astype(np.float64)) ** POPULARITY_BIAS_EXPONENT
@@ -259,7 +341,10 @@ def generate_catalog(config: SynthConfig) -> Catalog:
         shares_genre = membership[list(key)].any(axis=0)
         weights = np.where(shares_genre, intra_weight, cross_weight)
         cum = np.cumsum(weights)
-        n_positive = int(np.count_nonzero(weights))
+        # a weight is prob * target_weight with target_weight >= 1, so it is
+        # positive exactly where its probability is
+        sharing = int(np.count_nonzero(shares_genre))
+        n_positive = sharing * (config.intra_genre_prob > 0) + (n - sharing) * (config.cross_genre_prob > 0)
         # an artist whose own weight is positive could draw itself
         excludable = cum[members] > np.where(members > 0, cum[members - 1], 0.0)
         few = n_positive - excludable <= k

@@ -61,6 +61,8 @@ class WrmfConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not (0.0 <= self.lam < math.inf and 0.0 <= self.alpha < math.inf):

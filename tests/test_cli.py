@@ -128,6 +128,20 @@ def test_unknown_argument_is_reported_by_the_subcommand(argv, extra, capsys):
     assert err[-1] == f"scenerec {argv[0]}: error: unrecognized arguments: {extra}"
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["synth", "--artists", 30], "seed"), (["train", "wrmf", "--catalog", "{catalog}"], "seed"),
+     (["train", "multvae", "--catalog", "{catalog}"], "seed"),
+     (["eval", "--catalog", "{catalog}", "--algorithms", "oracle"], "master_seed")],
+)
+def test_negative_seed_fails_in_one_line(tmp_path, small_catalog_file, capsys, argv, field):
+    out = tmp_path / "out"
+    argv = [str(a).format(catalog=small_catalog_file) for a in argv]
+    assert run([*argv, "--seed", -1, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {field} must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 class TestTrainCommand:
     def test_wrmf_defaults_recorded(self, tmp_path, small_catalog_file):
         out = tmp_path / "w.npz"

@@ -164,6 +164,8 @@ class TestSampleTrial:
             ExperimentConfig(bins=((5, 3),))
         with pytest.raises(ValueError):
             ExperimentConfig(trials_per_bin=0)
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            ExperimentConfig(master_seed=-1)
 
 
 class TestRunExperiment:

@@ -510,6 +510,8 @@ class TestTraining:
             VaeConfig(n_items=5, batch_size=0)
         with pytest.raises(ValueError, match="epochs must be >= 0"):
             VaeConfig(n_items=5, epochs=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            VaeConfig(n_items=5, seed=-1)
         with pytest.raises(ValueError):
             VaeConfig(n_items=5, kl_weight=-0.5)
         for bad in (float("nan"), float("inf")):

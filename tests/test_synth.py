@@ -1,5 +1,6 @@
 import hashlib
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,7 +166,8 @@ class TestSnowballCrawl:
 # SHA-256 of the saved catalog for each config. The small configs finish
 # every similar list through repeated draws or take every positive-weight
 # artist; seed 8 at 200 mixes one-attempt and repeated-draw rows; the
-# one-genre config puts 1000 artists in one group.
+# one-genre config puts 1000 artists in one group; the 70-genre one (as
+# ``--genres 70``) draws genre indices past the common pool and past 63.
 PINNED_CATALOGS = [
     pytest.param(dict(seed=7, artist_count=5000), "ca272608da348e5549fdf9b34f20a8a26dacd7650860d4e357fe55f6b86dc84e", id="5k"),
     pytest.param(dict(seed=3, artist_count=30), "bf650fc9d36db7fccd784057b1601677f0e331348a2be2bfa60af5b5dce70852", id="30"),
@@ -194,12 +196,80 @@ PINNED_CATALOGS = [
         "073dd50cab545dc8ef857d6a61604d3c5db1e8e686e305c81d9a6bf8bcf5c834",
         id="1000-one-genre",
     ),
+    pytest.param(
+        dict(seed=9, artist_count=400, genre_count=70),
+        "8d2e77e8d1fea4f179f561a2741b80d034a4d85aff9d3aa155c59589380fee3a",
+        id="400-seventy-genres",
+    ),
 ]
 
 
 def catalog_digest(config, path):
     save_catalog(generate_catalog(SynthConfig(**config)), path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def reference_genre_sets(rng, n, genre_count):
+    """The per-artist genre draws that ``synth._draw_genre_sets`` decodes:
+    one ``integers`` and one ``choice`` call per artist."""
+    return [
+        rng.choice(genre_count, size=int(rng.integers(1, min(3, genre_count) + 1)), replace=False).tolist()
+        for _ in range(n)
+    ]
+
+
+# PCG64's 128-bit LCG multiplier (O'Neill's PCG default)
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def rng_with_zero_word(seed):
+    """A PCG64 generator whose next 64-bit output is 0. PCG64 steps its
+    128-bit state (state * multiplier + increment) and outputs the rotated
+    xor of the new state's two halves, so a new state with equal halves
+    outputs 0; the state one step before it is set directly."""
+    bitgen = np.random.PCG64(seed)
+    state = bitgen.state
+    equal_halves = (seed << 64) | seed
+    before = (equal_halves - state["state"]["inc"]) * pow(PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+    state["state"]["state"] = before
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+class TestGenreDecode:
+    @given(
+        st.integers(0, 2**32),
+        st.integers(0, 300),
+        st.sampled_from([1, 2, 3, 4, 20, 70]),
+        st.booleans(),
+        st.sampled_from([1, 3, synth._WORD_BLOCK]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_artist_calls(self, seed, n, genre_count, buffered, block):
+        expected, decoded = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            # a 32-bit draw leaves its word's high half buffered for the next
+            expected.integers(0, 7)
+            decoded.integers(0, 7)
+        # words read ahead in any block size give the same draws
+        with mock.patch.object(synth, "_WORD_BLOCK", block):
+            assert synth._draw_genre_sets(decoded, n, genre_count) == reference_genre_sets(expected, n, genre_count)
+        assert decoded.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("genre_count", [3, 4, 20, 70])
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_zero_halves_are_rejected(self, genre_count, n):
+        assert rng_with_zero_word(genre_count).bit_generator.random_raw(1)[0] == 0
+        # the count draw on [0, 2] rejects a zero half (0 * 3 mod 2**32 = 0
+        # is below (2**32 - 3) mod 3 = 1), so it skips both halves of the
+        # zero word and starts on the next one
+        rng, expected = rng_with_zero_word(genre_count), rng_with_zero_word(genre_count)
+        decoded = synth._draw_genre_sets(rng, n, genre_count)
+        assert decoded == reference_genre_sets(expected, n, genre_count)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        skipped = rng_with_zero_word(genre_count)
+        skipped.bit_generator.advance(1)
+        assert decoded[0] == synth._draw_genre_sets(skipped, 1, genre_count)[0]
 
 
 def reference_generate(config):
@@ -214,8 +284,7 @@ def reference_generate(config):
     popularity = rng.choice(101, size=n, p=pop_weights)
     membership = np.zeros((n, config.genre_count), dtype=bool)
     genre_lists = []
-    for i in range(n):
-        chosen = rng.choice(config.genre_count, size=int(rng.integers(1, min(3, config.genre_count) + 1)), replace=False)
+    for i, chosen in enumerate(reference_genre_sets(rng, n, config.genre_count)):
         membership[i, chosen] = True
         genre_lists.append(tuple(genres[g] for g in chosen))
     ids = [f"a{i:0{max(5, len(str(n - 1)))}d}" for i in range(n)]
@@ -343,6 +412,8 @@ class TestGenerateCatalog:
             SynthConfig(seed=1, similar_per_artist=0)
         with pytest.raises(ValueError):
             SynthConfig(seed=1, artist_count=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SynthConfig(seed=-1)
         for exponent in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="popularity_exponent"):
                 SynthConfig(seed=1, popularity_exponent=exponent)

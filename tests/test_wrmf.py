@@ -197,6 +197,8 @@ class TestTraining:
             WrmfConfig(lam=-0.1)
         with pytest.raises(ValueError):
             WrmfConfig(sweeps=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            WrmfConfig(seed=-1)
         for field in ("lam", "alpha"):
             for bad in (float("nan"), float("inf")):
                 with pytest.raises(ValueError, match="finite"):
