@@ -2,10 +2,10 @@
 
 The catalog is the shared data model every other module samples from or
 trains on, and it is immutable after construction. Artists are sorted by id
-and share one dense index; the similarity graph over that index is held in
-CSR layout, one offsets array (``indptr``) into one flat array of similar
-indices (``indices``), so whole-graph operations are numpy calls and any
-set of rows is read with one gather, ``SimilarityGraph.edges``. Genre
+and share one dense index, which ids map to only by ``Catalog.indices_of``.
+The graph over that index is CSR, one offsets array (``indptr``) into one
+flat array of similar indices (``indices``): whole-graph operations are
+numpy calls, and ``SimilarityGraph.edges`` reads a set of rows. Genre
 membership is held once, as a table per genre of its members ranked by
 popularity (most popular first, ties to the smaller index); trial sampling's
 two queries read it with array operations and return artist indices:
@@ -265,6 +265,14 @@ class Catalog:
     def index(self) -> Mapping[str, int]:
         return {a.id: i for i, a in enumerate(self.artists)}
 
+    def indices_of(self, ids: Iterable[str]) -> np.ndarray:
+        """The int64 index of each id, in order, repeats kept; a CatalogError
+        names the first id the catalog lacks. The one id -> index map."""
+        try:
+            return np.fromiter(map(self.index.__getitem__, ids), dtype=np.int64)
+        except KeyError as exc:
+            raise CatalogError(f"artist id {exc.args[0]!r} not in catalog") from None
+
     @cached_property
     def popularities(self) -> np.ndarray:
         return np.asarray([a.popularity for a in self.artists], dtype=np.int64)
@@ -314,11 +322,7 @@ class UserVector:
 
     @classmethod
     def from_ids(cls, catalog: Catalog, seed_ids: Iterable[str]) -> "UserVector":
-        try:
-            idx = sorted({catalog.index[s] for s in seed_ids})
-        except KeyError as exc:
-            raise CatalogError(f"unknown seed artist id {exc.args[0]!r}") from None
-        return cls(np.asarray(idx, dtype=np.int64), catalog.n)
+        return cls(np.unique(catalog.indices_of(seed_ids)), catalog.n)
 
 
 _REQUIRED_FIELDS = ("id", "name", "popularity", "genres", "similar")

@@ -5,7 +5,7 @@ Every subcommand is deterministic given its flags and seed; a trained model
 file repeats bit for bit only at a fixed BLAS thread count, while eval
 output from a given model file does not depend on it. A JSON config file
 (--config) supplies flag defaults; explicit flags win. Relative paths
-resolve against $SCENEREC_DATA_DIR when it is set.
+resolve against $SCENEREC_DATA_DIR when it is set, as argparse parses them.
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ from scenerec.persist import ModelMismatchError
 DATA_DIR_ENV = "SCENEREC_DATA_DIR"
 
 
-def resolve_path(value: str) -> Path:
-    path = Path(value)
-    if path.is_absolute():
-        return path
-    base = os.environ.get(DATA_DIR_ENV)
-    return (Path(base) / path) if base else path
+def resolve_path(value: str) -> Path | str:
+    """``value`` against $SCENEREC_DATA_DIR when it is relative (joining an
+    absolute path keeps it as is); an empty value stays empty: not given."""
+    return Path(os.environ.get(DATA_DIR_ENV, "")) / value if value else value
 
 
 def _parse_bins(text: str) -> tuple[tuple[int, int], ...]:
@@ -50,12 +48,14 @@ def _parse_id_list(text: str) -> tuple[str, ...]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    out = resolve_path(args.out)
     if args.from_fixture:
+        # a crawl draws nothing, but a --seed given to it is still checked
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         seeds = _parse_id_list(args.seeds or "")
         if not seeds:
             raise ValueError("--from-fixture needs --seeds: the crawl has nothing to start from")
-        provider = synth.FixtureProvider(resolve_path(args.from_fixture))
+        provider = synth.FixtureProvider(args.from_fixture)
         catalog = synth.snowball_crawl(provider, seeds, args.limit)
         label = "crawled"
     else:
@@ -70,8 +70,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
         catalog = synth.generate_catalog(config)
         label = "generated"
-    cat.save_catalog(catalog, out)
-    print(f"wrote {catalog.n} artists, {catalog.graph.edge_count} similarity edges -> {out}")
+    cat.save_catalog(catalog, args.out)
+    print(f"wrote {catalog.n} artists, {catalog.graph.edge_count} similarity edges -> {args.out}")
     if catalog.n:
         print(f"{'subset':<24}{'artists':>8}{'25%':>6}{'50%':>6}{'75%':>6}{'95%':>6}")
         print(f"{label:<24}{catalog.n:>8}" + "".join(f"{v:>6}" for v in cat.popularity_percentiles(catalog)))
@@ -84,14 +84,13 @@ def _flag_values(config_cls: type, args: argparse.Namespace) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    catalog = cat.load_catalog(resolve_path(args.catalog))
+    catalog = cat.load_catalog(args.catalog)
     if catalog.n == 0:
         raise cat.CatalogError("catalog is empty; nothing to train on")
-    out = resolve_path(args.out)
     if args.model == "wrmf":
         config = wrmf.WrmfConfig(**_flag_values(wrmf.WrmfConfig, args))
         model = wrmf.train_wrmf(catalog.graph, config, index_hash=catalog.index_hash())
-        wrmf.save_factor_model(model, out)
+        wrmf.save_factor_model(model, args.out)
         print(f"wrmf: k={config.k} lam={config.lam} alpha={config.alpha} sweeps={config.sweeps}")
         print("objective per half-sweep:")
         for i, value in enumerate(model.objective_trace):
@@ -99,19 +98,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         config = multvae.VaeConfig(n_items=catalog.n, **_flag_values(multvae.VaeConfig, args))
         model, trace = multvae.train_multvae(catalog.graph, config, index_hash=catalog.index_hash())
-        multvae.save_vae_model(model, out)
+        multvae.save_vae_model(model, args.out)
         print(
             f"multvae: hidden={config.hidden} bottleneck={config.bottleneck} dropout={config.dropout} "
             f"batch={config.batch_size} epochs={config.epochs} ({trace.updates} updates)"
         )
         for epoch, value in enumerate(trace.train_loss):
             print(f"  epoch {epoch:3d}  loss {value:.6f}")
-    print(f"saved model -> {out}")
+    print(f"saved model -> {args.out}")
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    catalog = cat.load_catalog(resolve_path(args.catalog))
+    catalog = cat.load_catalog(args.catalog)
     expected_hash = catalog.index_hash()
     scorers: dict[str, evaluation.RankFn] = {}
     for spec_item in args.model or []:
@@ -141,15 +140,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if repeated:
         raise ValueError(f"repeated algorithm name(s): {', '.join(repeated)}")
     report = evaluation.run_experiment(catalog, {name: scorers[name] for name in algorithms}, config)
-    out = resolve_path(args.out)
-    evaluation.write_report_csv(report, out)
-    print(f"wrote report -> {out}")
+    evaluation.write_report_csv(report, args.out)
+    print(f"wrote report -> {args.out}")
     if args.per_trial:
-        evaluation.write_trials_csv(report, resolve_path(args.per_trial))
-        print(f"wrote per-trial AUCs -> {resolve_path(args.per_trial)}")
+        evaluation.write_trials_csv(report, args.per_trial)
+        print(f"wrote per-trial AUCs -> {args.per_trial}")
     if args.plot_data:
-        evaluation.write_plot_data_csv(report, resolve_path(args.plot_data))
-        print(f"wrote plot data -> {resolve_path(args.plot_data)}")
+        evaluation.write_plot_data_csv(report, args.plot_data)
+        print(f"wrote plot data -> {args.plot_data}")
     _print_report_rows(report.rows)
     return 0
 
@@ -163,9 +161,10 @@ def _print_report_rows(rows) -> None:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    path = resolve_path(args.infile)
+    path = args.infile
     try:
-        text = path.read_bytes().decode("utf-8")
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     # newline=None reads line ends as open() does in text mode
@@ -235,15 +234,15 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic catalog or crawl a fixture file", formatter_class=fmt)
     p_synth.add_argument("--config", help="JSON file of flag defaults")
-    p_synth.add_argument("--out", help="catalog output path (JSON Lines)")
-    p_synth.add_argument("--seed", type=int, help="generator seed")
+    p_synth.add_argument("--out", type=resolve_path, help="catalog output path (JSON Lines)")
+    p_synth.add_argument("--seed", type=int, help="generator seed (a crawl needs none)")
     p_synth.add_argument("--artists", type=int, default=fd["artist_count"], help="artist count")
     p_synth.add_argument("--genres", type=int, default=fd["genre_count"], help="genre count")
     p_synth.add_argument("--exponent", type=float, default=fd["popularity_exponent"], help="popularity power-law decay")
     p_synth.add_argument("--intra", type=float, default=fd["intra_genre_prob"], help="same-genre similarity weight")
     p_synth.add_argument("--cross", type=float, default=fd["cross_genre_prob"], help="cross-genre similarity weight")
     p_synth.add_argument("--similar-per-artist", type=int, default=fd["similar_per_artist"], help="similar-list length")
-    p_synth.add_argument("--from-fixture", help="crawl this catalog file instead of generating")
+    p_synth.add_argument("--from-fixture", type=resolve_path, help="crawl this catalog file instead of generating")
     p_synth.add_argument("--seeds", help="comma-separated seed artist ids for the crawl")
     p_synth.add_argument("--limit", type=int, default=1000, help="max artists to fetch in a crawl")
     p_synth.set_defaults(func=cmd_synth, required_fields=("seed", "out"))
@@ -251,8 +250,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a recommender on a catalog", formatter_class=fmt)
     p_train.add_argument("model", choices=("wrmf", "multvae"))
     p_train.add_argument("--config", help="JSON file of flag defaults")
-    p_train.add_argument("--catalog", help="catalog path")
-    p_train.add_argument("--out", help="model output path (.npz)")
+    p_train.add_argument("--catalog", type=resolve_path, help="catalog path")
+    p_train.add_argument("--out", type=resolve_path, help="model output path (.npz)")
     p_train.add_argument("--seed", type=int, help="training seed")
     p_train.add_argument("--k", type=int, default=fd["k"], help="wrmf embedding dimension")
     p_train.add_argument("--lam", type=float, default=fd["lam"], help="wrmf ridge regularization")
@@ -269,7 +268,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="run the popularity-bin benchmark", formatter_class=fmt)
     p_eval.add_argument("--config", help="JSON file of flag defaults")
-    p_eval.add_argument("--catalog", help="catalog path")
+    p_eval.add_argument("--catalog", type=resolve_path, help="catalog path")
     p_eval.add_argument("--model", action=_AppendOverDefault, help="name=path, repeatable (wrmf=..., multvae=...)")
     p_eval.add_argument(
         "--algorithms",
@@ -279,14 +278,14 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_eval.add_argument("--bins", default=bins, help="comma-separated lo-hi popularity ranges")
     p_eval.add_argument("--trials", type=int, default=fd["trials_per_bin"], help="trials per bin")
     p_eval.add_argument("--seed", type=int, help="master seed for trial streams")
-    p_eval.add_argument("--out", help="report CSV path")
-    p_eval.add_argument("--per-trial", help="optional per-trial AUC CSV path")
-    p_eval.add_argument("--plot-data", help="optional bin-midpoint/mean/stderr CSV path")
+    p_eval.add_argument("--out", type=resolve_path, help="report CSV path")
+    p_eval.add_argument("--per-trial", type=resolve_path, help="optional per-trial AUC CSV path")
+    p_eval.add_argument("--plot-data", type=resolve_path, help="optional bin-midpoint/mean/stderr CSV path")
     p_eval.set_defaults(func=cmd_eval, required_fields=("seed", "catalog", "out"))
 
     p_report = sub.add_parser("report", help="pretty-print a report CSV", formatter_class=fmt)
     p_report.add_argument("--config", help="JSON file of flag defaults")
-    p_report.add_argument("infile", help="report CSV produced by eval")
+    p_report.add_argument("infile", type=resolve_path, help="report CSV produced by eval")
     p_report.set_defaults(func=cmd_report, required_fields=())
 
     # one file serves every subcommand, so each takes only its own flags;
@@ -327,12 +326,14 @@ def main(argv: list[str] | None = None) -> int:
     if bad:
         print(f"error: --config {config_path}: {bad[0]}", file=sys.stderr)
         return 1
-    missing = [f"--{name}" for name in args.required_fields if getattr(args, name) is None]
+    # a crawl draws nothing, so only generation needs --seed
+    required = ("out",) if getattr(args, "from_fixture", None) else args.required_fields
+    missing = [f"--{name}" for name in required if getattr(args, name) in (None, "")]
     if missing:
         args.subparser.error(f"the following arguments are required: {', '.join(missing)}")
     try:
         return args.func(args)
-    except (cat.CatalogError, ModelMismatchError, synth.CrawlError, ValueError, OSError, FloatingPointError) as exc:
+    except (cat.CatalogError, ModelMismatchError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -188,7 +188,7 @@ def random_scorer(trial: Trial, rng: np.random.Generator) -> np.ndarray:
 def make_wrmf_scorer(model: wrmf.FactorModel, catalog: Catalog) -> RankFn:
     def score(trial: Trial, rng: np.random.Generator) -> np.ndarray:
         vec = wrmf.fold_in_user(model, UserVector.from_ids(catalog, trial.seed_ids))
-        return wrmf.rank_candidates(model, vec, [catalog.index[cid] for cid in trial.candidate_ids])
+        return wrmf.rank_candidates(model, vec, catalog.indices_of(trial.candidate_ids))
 
     return score
 
@@ -200,7 +200,7 @@ def make_vae_scorer(model: multvae.VaeModel, catalog: Catalog) -> RankFn:
 
     def score(trial: Trial, rng: np.random.Generator) -> np.ndarray:
         user = UserVector.from_ids(catalog, trial.seed_ids)
-        return multvae.rank_candidates_vae(model, user, [catalog.index[cid] for cid in trial.candidate_ids], rows)
+        return multvae.rank_candidates_vae(model, user, catalog.indices_of(trial.candidate_ids), rows)
 
     return score
 
@@ -235,7 +235,7 @@ def run_experiment(catalog: Catalog, scorers: Mapping[str, RankFn], config: Expe
                 continue
             # ids sort in catalog index order, so the smaller index is the
             # smaller id
-            idx = np.fromiter(map(catalog.index.__getitem__, trial.candidate_ids), np.int64, len(trial.labels))
+            idx = catalog.indices_of(trial.candidate_ids)
             labels = np.array(trial.labels)
             for algo_idx, (name, score) in enumerate(selected):
                 algo_rng = np.random.default_rng([config.master_seed, b, t, algo_idx])

@@ -33,10 +33,6 @@ from scenerec.catalog import COMMON_GENRES, Artist, Catalog, SimilarityGraph, lo
 POPULARITY_BIAS_EXPONENT = 2.0
 
 
-class CrawlError(RuntimeError):
-    """A seed artist is not in the crawled catalog."""
-
-
 class FixtureProvider(Catalog):
     """The catalog in a fixture file, ready to crawl. It is a plain loaded
     catalog; the name stays because perfbench's ``catalog-50k`` workload
@@ -53,7 +49,7 @@ def snowball_crawl(catalog: Catalog, seeds: Sequence[str], limit: int) -> Catalo
     enqueue its not yet seen similar artists in id order, stop once
     ``limit`` artists are fetched or the frontier empties.
 
-    A seed that would be fetched but is not in ``catalog`` is a CrawlError.
+    A seed that would be fetched but is not in ``catalog`` is a CatalogError.
     Similar lists in the result are restricted to fetched artists, so the
     catalog invariants hold no matter where the crawl stopped.
     """
@@ -61,11 +57,7 @@ def snowball_crawl(catalog: Catalog, seeds: Sequence[str], limit: int) -> Catalo
         raise ValueError("limit must be >= 0")
     # the queue is also the fetch order, so the fetched artists are its
     # first ``limit`` entries
-    queue_ids = list(dict.fromkeys(seeds))[:limit]
-    missing = [s for s in queue_ids if s not in catalog.index]
-    if missing:
-        raise CrawlError(f"seed artist {missing[0]!r} not in catalog")
-    queue = [catalog.index[s] for s in queue_ids]
+    queue = catalog.indices_of(list(dict.fromkeys(seeds))[:limit]).tolist()
     seen = np.zeros(catalog.n, dtype=bool)
     seen[queue] = True
     head = 0

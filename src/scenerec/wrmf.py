@@ -125,15 +125,16 @@ def solve_row(
 
 
 def _equal_degree_blocks(
-    graph: SimilarityGraph, degrees: np.ndarray, selected: np.ndarray, row_bytes: Callable[[int], int]
+    graph: SimilarityGraph, row_bytes: Callable[[int], int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(block, obs)`` for the ``selected`` rows of ``graph``, grouped
-    by degree r: ``block`` holds row indices, ``obs`` their observed indices
+    """Yield ``(block, obs)`` for the nonempty rows of ``graph``, grouped by
+    degree r: ``block`` holds row indices, ``obs`` their observed indices
     as a (len(block), r) array. A block holds at most
     BLOCK_BYTES // row_bytes(r) rows, so the caller's per-row temporaries
     stay under BLOCK_BYTES."""
-    for r in np.unique(degrees[selected]):
-        group = np.flatnonzero(selected & (degrees == r))
+    degrees = np.diff(graph.indptr)
+    for r in np.unique(degrees[degrees > 0]):
+        group = np.flatnonzero(degrees == r)
         step = max(1, BLOCK_BYTES // row_bytes(r))
         for start in range(0, group.size, step):
             block = group[start : start + step]
@@ -146,15 +147,14 @@ def half_sweep(graph: SimilarityGraph, this: np.ndarray, other: np.ndarray, lam:
     ``solve_row`` call per block of equal-degree rows for the rest."""
     k = other.shape[1]
     gram_reg, w = ridge_terms(other, lam)
-    degrees = np.diff(graph.indptr)
-    this[degrees == 0] = 0.0
+    this[np.diff(graph.indptr) == 0] = 0.0
 
     def row_bytes(r: int) -> int:
         # solve_row's temporaries; with W, the Woodbury ones also bound the
         # direct solve's, which runs only for r >= k
         return 8 * (2 * r * k + 3 * r * r + k) if w is not None else 8 * (r * k + 3 * k * k + k)
 
-    for block, obs in _equal_degree_blocks(graph, degrees, degrees > 0, row_bytes):
+    for block, obs in _equal_degree_blocks(graph, row_bytes):
         this[block] = solve_row(obs, other, gram_reg, w, alpha)
 
 
@@ -165,9 +165,8 @@ def _objective_value(x: np.ndarray, y: np.ndarray, graph: SimilarityGraph, lam: 
     xtx, yty = x.T @ x, y.T @ y
     total_sq = float(np.sum(xtx * yty))
     k = x.shape[1]
-    degrees = np.diff(graph.indptr)
     observed = 0.0
-    for block, obs in _equal_degree_blocks(graph, degrees, degrees > 0, lambda r: 8 * (r * k + 3 * r)):
+    for block, obs in _equal_degree_blocks(graph, lambda r: 8 * (r * k + 3 * r)):
         s = (y[obs] @ x[block, :, None])[..., 0]
         observed += float(((1.0 + alpha) * np.square(1.0 - s) - np.square(s)).sum())
     return total_sq + observed + lam * float(np.trace(xtx) + np.trace(yty))

@@ -24,6 +24,11 @@ def graph_from_rows(rows) -> SimilarityGraph:
     return SimilarityGraph(indptr, indices)
 
 
+def graph_from_lists(rows) -> SimilarityGraph:
+    """``graph_from_rows`` with each row sorted."""
+    return graph_from_rows([sorted(r) for r in rows])
+
+
 def dense_graph(graph: SimilarityGraph) -> np.ndarray:
     """The graph as a 0/1 float (n, n) matrix, filled row by row from
     ``graph.row``, for small graphs in tests and oracles."""

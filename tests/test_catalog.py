@@ -323,6 +323,23 @@ class TestRoundTrip:
         assert path.read_bytes() == path2.read_bytes()
 
 
+class TestIndicesOf:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_index_map(self, data):
+        catalog = data.draw(catalogs())
+        # any order, repeats, and the empty list
+        ids = data.draw(st.lists(st.sampled_from(catalog.ids), max_size=20))
+        result = catalog.indices_of(ids)
+        assert result.dtype == np.int64 and result.shape == (len(ids),)
+        assert result.tolist() == [catalog.index[i] for i in ids]
+
+    @pytest.mark.parametrize("ids, first", [(["a", "ghost", "b", "zombie"], "ghost"), (["zombie", "a", "ghost"], "zombie")])
+    def test_names_the_first_unknown_id(self, six_artists, ids, first):
+        with pytest.raises(CatalogError, match=rf"^artist id '{first}' not in catalog$"):
+            six_artists.indices_of(ids)
+
+
 class TestPercentiles:
     def test_singleton(self):
         catalog = build_catalog([("a", 10, [])])

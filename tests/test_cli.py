@@ -66,6 +66,13 @@ class TestSynthCommand:
         assert err.startswith("error: ") and "ghost" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_crawl_needs_no_seed(self, tmp_path, small_catalog_file):
+        crawl = ["synth", "--from-fixture", small_catalog_file, "--seeds", "a00000", "--limit", 50]
+        assert run([*crawl, "--out", tmp_path / "plain.jsonl"]) == 0
+        assert run([*crawl, "--seed", 3, "--out", tmp_path / "seeded.jsonl"]) == 0
+        assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "seeded.jsonl").read_bytes()
+        assert load_catalog(tmp_path / "plain.jsonl").n == 50
+
     @pytest.mark.parametrize("seeds", [None, ","])
     def test_crawl_without_seeds_fails_in_one_line(self, tmp_path, small_catalog_file, seeds, capsys):
         out = tmp_path / "crawl.jsonl"
@@ -115,6 +122,21 @@ def test_missing_required_flag_is_reported_by_the_subcommand(argv, missing, caps
 
 
 @pytest.mark.parametrize(
+    "argv, missing",
+    [(["synth", "--seed", 1, "--out", ""], "--out"),
+     (["train", "wrmf", "--catalog", "", "--seed", 1, "--out", "m.npz"], "--catalog"),
+     (["train", "wrmf", "--catalog", "{catalog}", "--seed", 1, "--out", ""], "--out")],
+)
+def test_empty_required_path_is_not_given(tmp_path, monkeypatch, small_catalog_file, argv, missing, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        run([str(a).format(catalog=small_catalog_file) for a in argv])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: the following arguments are required: {missing}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv, extra",
     [(["synth", "--trials", "abc"], "--trials abc"), (["train", "wrmf", "--bogus"], "--bogus"),
      (["eval", "--k", 8, "--seed", 1], "--k 8"), (["report", "report.csv", "more.csv"], "more.csv")],
@@ -132,7 +154,8 @@ def test_unknown_argument_is_reported_by_the_subcommand(argv, extra, capsys):
     "argv, field",
     [(["synth", "--artists", 30], "seed"), (["train", "wrmf", "--catalog", "{catalog}"], "seed"),
      (["train", "multvae", "--catalog", "{catalog}"], "seed"),
-     (["eval", "--catalog", "{catalog}", "--algorithms", "oracle"], "master_seed")],
+     (["eval", "--catalog", "{catalog}", "--algorithms", "oracle"], "master_seed"),
+     (["synth", "--from-fixture", "{catalog}", "--seeds", "a00000"], "seed")],
 )
 def test_negative_seed_fails_in_one_line(tmp_path, small_catalog_file, capsys, argv, field):
     out = tmp_path / "out"
@@ -517,9 +540,36 @@ class TestConfigFileAndEnv:
             assert [r["algorithm"] for r in csv.DictReader(fh)] == ["multvae"]
 
     def test_env_var_resolves_relative_paths(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCENEREC_DATA_DIR", str(tmp_path))
-        assert run(["synth", "--artists", 50, "--seed", 2, "--out", "env.jsonl"]) == 0
-        assert (tmp_path / "env.jsonl").exists()
+        data, cwd = tmp_path / "data", tmp_path / "cwd"
+        data.mkdir()
+        cwd.mkdir()
+        monkeypatch.setenv("SCENEREC_DATA_DIR", str(data))
+        monkeypatch.chdir(cwd)
+        (data / "train.json").write_text(json.dumps({"k": 2, "sweeps": 1}))
+        # every path flag, report's file, --config and a --model's path
+        commands = [
+            ["synth", "--artists", 200, "--seed", 2, "--out", "cat.jsonl"],
+            ["synth", "--from-fixture", "cat.jsonl", "--seeds", "a00000", "--limit", 20, "--out", "crawl.jsonl"],
+            ["train", "wrmf", "--config", "train.json", "--catalog", "cat.jsonl", "--seed", 1, "--out", "wrmf.npz"],
+            ["eval", "--catalog", "cat.jsonl", "--model", "wrmf=wrmf.npz", "--bins", "0-99", "--trials", 2,
+             "--seed", 1, "--out", "report.csv", "--per-trial", "trials.csv", "--plot-data", "plot.csv"],
+            ["report", "report.csv"],
+        ]
+        for argv in commands:
+            assert run(argv) == 0, argv
+        written = {"train.json", "cat.jsonl", "crawl.jsonl", "wrmf.npz", "report.csv", "trials.csv", "plot.csv"}
+        assert {p.name for p in data.iterdir()} == written
+        assert list(cwd.iterdir()) == []
+        assert load_catalog(data / "crawl.jsonl").n == 20
+        assert load_factor_model(data / "wrmf.npz").config.k == 2
+
+    def test_empty_optional_path_writes_nothing(self, tmp_path, small_catalog_file, capsys):
+        out = tmp_path / "r.csv"
+        code = run(["eval", "--catalog", small_catalog_file, "--algorithms", "oracle", "--bins", "0-9", "--trials", 2,
+                    "--seed", 1, "--out", out, "--per-trial", "", "--plot-data", ""])
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        assert capsys.readouterr().out.startswith(f"wrote report -> {out}\nalgorithm")
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -27,11 +27,7 @@ from scenerec.multvae import (
 )
 from scenerec.persist import ModelMismatchError
 from scenerec.synth import SynthConfig, generate_catalog
-from tests.conftest import dense_user, float64_copy, graph_from_rows
-
-
-def graph_from_lists(rows):
-    return graph_from_rows([sorted(r) for r in rows])
+from tests.conftest import dense_user, float64_copy, graph_from_lists
 
 
 def two_cliques_graph():

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenerec import synth
-from scenerec.catalog import COMMON_GENRES, Artist, Catalog, popularity_percentiles, save_catalog
+from scenerec.catalog import COMMON_GENRES, Artist, Catalog, CatalogError, popularity_percentiles, save_catalog
 from scenerec.synth import (
     POPULARITY_BIAS_EXPONENT,
-    CrawlError,
     FixtureProvider,
     SynthConfig,
     generate_catalog,
@@ -45,7 +44,7 @@ def reference_crawl(catalog, seeds, limit):
     while frontier and len(fetched) < limit:
         artist_id = frontier.popleft()
         if artist_id not in by_id:
-            raise CrawlError(artist_id)
+            raise CatalogError(artist_id)
         fetched[artist_id] = similar[artist_id]
         for ref in similar[artist_id]:
             if ref not in seen:
@@ -99,7 +98,7 @@ class TestSnowballCrawl:
         assert snowball_crawl(chain_catalog(), ["a"], 0).n == 0
 
     def test_missing_seed_is_error(self):
-        with pytest.raises(CrawlError, match="ghost"):
+        with pytest.raises(CatalogError, match="ghost"):
             snowball_crawl(chain_catalog(), ["ghost"], 5)
 
     def test_negative_limit_rejected(self):
@@ -130,8 +129,8 @@ class TestSnowballCrawl:
         limit = data.draw(st.integers(0, catalog.n + 1))
         try:
             expected = reference_crawl(catalog, seeds, limit)
-        except CrawlError:
-            with pytest.raises(CrawlError, match="0ghost"):
+        except CatalogError:
+            with pytest.raises(CatalogError, match="0ghost"):
                 snowball_crawl(catalog, seeds, limit)
             return
         crawled = snowball_crawl(catalog, seeds, limit)

@@ -19,11 +19,7 @@ from scenerec.wrmf import (
     solve_row,
     train_wrmf,
 )
-from tests.conftest import dense_graph, graph_from_rows
-
-
-def graph_from_lists(rows):
-    return graph_from_rows([sorted(r) for r in rows])
+from tests.conftest import dense_graph, graph_from_lists, graph_from_rows
 
 
 def random_graph(rng, n, density=0.15):
