@@ -18,8 +18,8 @@ a similar reference, so the similar lists are kept as one array of numbers
 and no reference string outlives its line; one numpy pass maps the numbers
 to indices, then one sort of row-major edge keys sorts and dedupes the rows.
 Only a bad reference sends it back to the edges, to name the first one.
-``save_catalog`` encodes each id once and writes every line from those
-pieces.
+``save_catalog`` encodes each id and each distinct ordered genre list once
+and writes every line from those pieces.
 """
 
 from __future__ import annotations
@@ -68,24 +68,38 @@ class CatalogError(ValueError):
     similar-artist reference that cannot be resolved."""
 
 
-@dataclass(frozen=True, slots=True)
-class Artist:
-    """One artist record. ``popularity`` is an integer on the 0-100 scale;
-    ``genres`` is an ordered, possibly empty list of distinct tags."""
-
+# Artist's fields; a NamedTuple body may not define __new__, so the checks
+# live in a subclass
+class _ArtistFields(NamedTuple):
     id: str
     name: str
     popularity: int
     genres: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.popularity, int) or isinstance(self.popularity, bool):
-            raise CatalogError(f"artist {self.id!r}: popularity must be an integer, got {self.popularity!r}")
-        if not 0 <= self.popularity <= 100:
-            raise CatalogError(f"artist {self.id!r}: popularity {self.popularity} outside [0, 100]")
-        if len(set(self.genres)) != len(self.genres):
-            repeated = next(g for i, g in enumerate(self.genres) if g in self.genres[:i])
-            raise CatalogError(f"artist {self.id!r}: genre {repeated!r} listed twice")
+
+class Artist(_ArtistFields):
+    """One artist record. ``popularity`` is an integer on the 0-100 scale;
+    ``genres`` is an ordered, possibly empty list of distinct tags, kept
+    as a tuple.
+
+    A validated named tuple: hashable, immutable, and equal to another
+    artist field by field. Being a tuple, an artist also equals a plain
+    tuple of its four fields. Only construction validates: ``_replace``
+    and ``_make`` skip the checks, and no caller uses them."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, name: str, popularity: int, genres: Sequence[str] = ()) -> "Artist":
+        # a tuple passes through as itself, so shared tuples stay shared
+        genres = tuple(genres)
+        if not isinstance(popularity, int) or isinstance(popularity, bool):
+            raise CatalogError(f"artist {id!r}: popularity must be an integer, got {popularity!r}")
+        if not 0 <= popularity <= 100:
+            raise CatalogError(f"artist {id!r}: popularity {popularity} outside [0, 100]")
+        if len(set(genres)) != len(genres):
+            repeated = next(g for i, g in enumerate(genres) if g in genres[:i])
+            raise CatalogError(f"artist {id!r}: genre {repeated!r} listed twice")
+        return tuple.__new__(cls, (id, name, popularity, genres))
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,6 +352,7 @@ def load_catalog(path: str | Path) -> Catalog:
     number: defaultdict[str, int] = defaultdict(itertools.count().__next__)
     counts = array("q")
     refs = array("q")
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -360,8 +375,11 @@ def load_catalog(path: str | Path) -> Catalog:
                 raise CatalogError(f"{path}:{lineno}: genres must be a list of strings")
             if not isinstance(similar, list) or not all(map(isinstance, similar, itertools.repeat(str))):
                 raise CatalogError(f"{path}:{lineno}: similar must be a list of ids")
+            # artists with one ordered genre list share one tuple
+            genres = tuple(genres)
+            genres = shared.setdefault(genres, genres)
             try:
-                artist = Artist(record["id"], record["name"], record["popularity"], tuple(genres))
+                artist = Artist(record["id"], record["name"], record["popularity"], genres)
             except CatalogError as exc:
                 raise CatalogError(f"{path}:{lineno}: {exc}") from None
             artists.append(artist)
@@ -374,14 +392,20 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
     """Write a catalog as JSON Lines; output is byte-deterministic for a
     given catalog (rows in index order, similar lists in id order). Each
     line is the bytes of ``json.dumps(record, ensure_ascii=False)``, put
-    together from each id's JSON text, encoded once."""
+    together from each id's and each ordered genre list's JSON text,
+    encoded once."""
     encode = json.JSONEncoder(ensure_ascii=False).encode
     ids = np.array([encode(aid) for aid in catalog.ids], dtype=object)
     similar = ids[catalog.graph.indices].tolist()
     bounds = catalog.graph.indptr.tolist()
+    # many artists share one ordered genre list
+    genre_text: dict[tuple[str, ...], str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for artist, aid, start, stop in zip(catalog.artists, ids, bounds, bounds[1:]):
-            name, genres = encode(artist.name), encode(list(artist.genres))
+            name = encode(artist.name)
+            genres = genre_text.get(artist.genres)
+            if genres is None:
+                genres = genre_text[artist.genres] = encode(list(artist.genres))
             # %d writes an int as json does, with int.__repr__
             fh.write(
                 '{"id": %s, "name": %s, "popularity": %d, "genres": %s, "similar": [%s]}\n'

@@ -19,9 +19,11 @@ class ModelMismatchError(RuntimeError):
 
 
 def save_model(path: str | Path, config, index_hash: str, arrays: Mapping[str, np.ndarray]) -> None:
-    """Write ``config`` (a dataclass), ``index_hash`` and ``arrays``."""
+    """Write ``config`` (a dataclass), ``index_hash`` and ``arrays`` to
+    exactly ``path``: given an open file, ``np.savez`` adds no ``.npz``."""
     config_json = json.dumps(asdict(config), sort_keys=True)
-    np.savez(path, config_json=np.str_(config_json), index_hash=np.str_(index_hash), **arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, config_json=np.str_(config_json), index_hash=np.str_(index_hash), **arrays)
 
 
 def load_model(

@@ -11,9 +11,12 @@ and the generator state after them, that one ``rng.integers`` and one
 ``rng.choice(..., replace=False)`` per artist would give (so a catalog
 depends on those words and on numpy's bounded-draw algorithm, which the
 tests check against the per-artist calls). Then the similar lists are drawn
-group by group (artists sharing a genre set) from one stream of doubles,
-most rows a block at a time with array operations, and written straight
-into the CSR graph; id strings are made only for the artist records.
+group by group (artists sharing a genre set) from one stream of doubles;
+a group's target weights start from the cross-genre weights and are
+overwritten at its genres' members only, from member lists built once.
+Most rows are drawn a block at a time with array operations, and written
+straight into the CSR graph; id strings are made only for the artist
+records.
 """
 
 from __future__ import annotations
@@ -306,37 +309,46 @@ def generate_catalog(config: SynthConfig) -> Catalog:
     # one pass rather than by two numpy calls per artist (same values, same
     # rng state after). Artists sharing a genre set see identical target
     # weights, so they are grouped by their sorted genre indices and each
-    # cumulative weight vector is built once. Membership is genre-major so a
-    # group reads whole rows.
+    # cumulative weight vector is built once. Each genre's members are
+    # listed once, in index order, so a group writes only its genres'
+    # members besides the one cumulative sum.
     genre_sets = _draw_genre_sets(rng, n, config.genre_count)
     sizes = np.fromiter(map(len, genre_sets), dtype=np.int64, count=n)
     flat = np.fromiter(itertools.chain.from_iterable(genre_sets), dtype=np.int64)
-    membership = np.zeros((config.genre_count, n), dtype=bool)
-    membership[flat, np.repeat(np.arange(n), sizes)] = True
-    genre_lists = [tuple(map(genres.__getitem__, chosen)) for chosen in genre_sets]
+    owner = np.repeat(np.arange(n), sizes)
+    genre_bounds = np.cumsum(np.bincount(flat, minlength=config.genre_count))[:-1]
+    genre_members = np.split(owner[np.argsort(flat, kind="stable")], genre_bounds)
+    # artists with one ordered genre list share one tuple of names
+    ordered = list(map(tuple, genre_sets))
+    named = {key: tuple(map(genres.__getitem__, key)) for key in set(ordered)}
+    genre_lists = list(map(named.__getitem__, ordered))
     by_genre_set: dict[tuple[int, ...], list[int]] = {}
     for i, chosen in enumerate(genre_sets):
         by_genre_set.setdefault(tuple(sorted(chosen)), []).append(i)
 
     target_weight = (1.0 + popularity.astype(np.float64)) ** POPULARITY_BIAS_EXPONENT
-    # each group picks one of these products per target
-    intra_weight = config.intra_genre_prob * target_weight
+    # each group picks one of these products per target; a genre's members
+    # take their intra weights, in member order, in every group it is in
     cross_weight = config.cross_genre_prob * target_weight
+    intra_by_genre = [config.intra_genre_prob * target_weight[m] for m in genre_members]
 
     # Row i of the graph is picks[i, :length[i]]. Draw order stays fixed
     # (groups by key, artists by index) to keep the output deterministic.
     picks = np.empty((n, k), dtype=np.int64)
     length = np.full(n, k, dtype=np.int64)
     stream = _DrawStream(rng)
+    # reused by every group
+    weights = np.empty(n)
+    cum = np.empty(n)
     for key in sorted(by_genre_set):
         members = np.asarray(by_genre_set[key])
-        shares_genre = membership[list(key)].any(axis=0)
-        weights = np.where(shares_genre, intra_weight, cross_weight)
-        cum = np.cumsum(weights)
+        np.copyto(weights, cross_weight)
+        for g in key:
+            weights[genre_members[g]] = intra_by_genre[g]
+        np.cumsum(weights, out=cum)
         # a weight is prob * target_weight with target_weight >= 1, so it is
         # positive exactly where its probability is
-        sharing = int(np.count_nonzero(shares_genre))
-        n_positive = sharing * (config.intra_genre_prob > 0) + (n - sharing) * (config.cross_genre_prob > 0)
+        n_positive = int(np.count_nonzero(weights))
         # an artist whose own weight is positive could draw itself
         excludable = cum[members] > np.where(members > 0, cum[members - 1], 0.0)
         few = n_positive - excludable <= k
@@ -351,10 +363,8 @@ def generate_catalog(config: SynthConfig) -> Catalog:
 
     width = max(5, len(str(n - 1)))
     ids = [f"a{i:0{width}d}" for i in range(n)]
-    artists = tuple(
-        Artist(id=aid, name=f"Artist {aid[1:]}", popularity=pop, genres=genre_list)
-        for aid, pop, genre_list in zip(ids, popularity.tolist(), genre_lists)
-    )
+    names = [f"Artist {aid[1:]}" for aid in ids]
+    artists = tuple(map(Artist, ids, names, popularity.tolist(), genre_lists))
     # the zero-padded ids sort in index order, so the rows are already the
     # catalog's CSR rows
     indptr = np.concatenate(([0], np.cumsum(length)))

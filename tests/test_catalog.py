@@ -236,6 +236,23 @@ class TestUnicodeRoundTrip:
         assert again.read_bytes() == saved.read_bytes()
 
 
+class TestSave:
+    def test_same_genres_in_another_order_keep_their_own_order(self, tmp_path):
+        catalog = build_catalog(
+            [("a", 5, ["rock", "jazz"]), ("b", 6, ["jazz", "rock"]), ("c", 7, ["rock", "jazz"]), ("d", 8, [])],
+            similar={"a": ["b"], "b": ["a", "c"]},
+        )
+        path = tmp_path / "c.jsonl"
+        save_catalog(catalog, path)
+        expected = "".join(
+            json.dumps({"id": a.id, "name": a.name, "popularity": a.popularity, "genres": list(a.genres),
+                        "similar": [catalog.ids[j] for j in catalog.graph.row(i).tolist()]}) + "\n"
+            for i, a in enumerate(catalog.artists)
+        )
+        assert path.read_text(encoding="utf-8") == expected
+        assert '"genres": ["jazz", "rock"]' in expected and '"genres": ["rock", "jazz"]' in expected
+
+
 class TestBuild:
     def test_unsorted_and_repeated_references_give_a_sorted_unique_row(self):
         catalog = build_catalog([(x, 10, []) for x in "dacb"], similar={"a": ["d", "b", "d", "c", "b"], "c": ["a", "a"]})
@@ -467,18 +484,44 @@ class TestGenreQueriesMatchBruteForce:
 
 class TestTypes:
     def test_popularity_bounds_enforced(self):
-        with pytest.raises(CatalogError):
-            Artist(id="a", name="a", popularity=-1)
-        with pytest.raises(CatalogError):
-            Artist(id="a", name="a", popularity=101)
+        for popularity in (-1, 101):
+            with pytest.raises(CatalogError) as exc:
+                Artist(id="a", name="a", popularity=popularity)
+            assert str(exc.value) == f"artist 'a': popularity {popularity} outside [0, 100]"
 
     def test_non_integer_popularity_rejected(self):
-        with pytest.raises(CatalogError):
-            Artist(id="a", name="a", popularity=1.5)
+        for popularity in (True, 1.5):
+            with pytest.raises(CatalogError) as exc:
+                Artist(id="a", name="a", popularity=popularity)
+            assert str(exc.value) == f"artist 'a': popularity must be an integer, got {popularity!r}"
 
     def test_repeated_genre_rejected(self):
-        with pytest.raises(CatalogError, match="artist 'a': genre 'rock' listed twice"):
+        with pytest.raises(CatalogError) as exc:
             Artist(id="a", name="a", popularity=1, genres=("rock", "jazz", "rock"))
+        assert str(exc.value) == "artist 'a': genre 'rock' listed twice"
+
+    def test_boolean_popularity_in_a_file_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record("a"), {**record("b"), "popularity": True}])
+        with pytest.raises(CatalogError) as exc:
+            load_catalog(path)
+        assert str(exc.value) == f"{path}:2: artist 'b': popularity must be an integer, got True"
+
+    def test_artist_is_an_immutable_hashable_value(self):
+        artist = Artist(id="a", name="A", popularity=7, genres=("rock", "jazz"))
+        same = Artist("a", "A", 7, ("rock", "jazz"))
+        assert artist == same and hash(artist) == hash(same)
+        assert len({artist, same}) == 1
+        for other in [("b", "A", 7, ("rock", "jazz")), ("a", "B", 7, ("rock", "jazz")),
+                      ("a", "A", 8, ("rock", "jazz")), ("a", "A", 7, ("jazz", "rock"))]:
+            assert artist != Artist(*other)
+        listed = Artist(id="a", name="A", popularity=7, genres=["rock", "jazz"])
+        assert listed == artist and type(listed.genres) is tuple
+        with pytest.raises(AttributeError):
+            artist.popularity = 8
+        with pytest.raises(AttributeError):
+            artist.label = "x"
+        assert artist.popularity == 7
 
     def test_graph_validate_catches_bad_rows(self, six_artists):
         six_artists.graph.validate()

@@ -220,6 +220,16 @@ class TestTrainCommand:
         assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_out_without_suffix_is_the_file_written_and_read(self, tmp_path, small_catalog_file, capsys):
+        out = tmp_path / "model"
+        run(["train", "wrmf", "--catalog", small_catalog_file, "--seed", 1, "--k", 8, "--sweeps", 1, "--out", out])
+        assert capsys.readouterr().out.endswith(f"saved model -> {out}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+        report = tmp_path / "r.csv"
+        code = run(["eval", "--catalog", small_catalog_file, "--model", f"wrmf={out}", "--algorithms", "wrmf",
+                    "--bins", "0-9", "--trials", 2, "--seed", 1, "--out", report])
+        assert code == 0 and report.exists()
+
     def test_prints_training_trace(self, tmp_path, small_catalog_file, capsys):
         run(["train", "wrmf", "--catalog", small_catalog_file, "--seed", 1, "--k", 8, "--sweeps", 2,
              "--out", tmp_path / "m.npz"])

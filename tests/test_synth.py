@@ -319,11 +319,13 @@ class TestGenerateCatalog:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_the_per_artist_reference(self, data):
-        n = data.draw(st.integers(2, 60))
+        # up to 25 genres: sets of two or three genres, with artists that
+        # carry two genres of one set, so the group writes them twice
+        n = data.draw(st.integers(2, 120))
         config = SynthConfig(
             seed=data.draw(st.integers(0, 2**16)),
             artist_count=n,
-            genre_count=data.draw(st.integers(1, 5)),
+            genre_count=data.draw(st.integers(1, 25)),
             intra_genre_prob=data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])),
             cross_genre_prob=data.draw(st.sampled_from([0.0, 0.05, 0.5])),
             similar_per_artist=data.draw(st.integers(1, n - 1)),
