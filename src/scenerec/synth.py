@@ -5,18 +5,14 @@ from seed artists: it walks a catalog's similarity graph breadth-first from
 a seed set until it hits a fetch limit, and keeps the sub-catalog it reached.
 The generator fabricates a whole catalog with long-tail popularity and
 genre-clustered similar lists, so experiments can run at desk scale without
-any external service. It works in index space. Every artist's genre set is
-decoded in one pass from the bit generator's raw PCG64 words: the values,
-and the generator state after them, that one ``rng.integers`` and one
-``rng.choice(..., replace=False)`` per artist would give (so a catalog
-depends on those words and on numpy's bounded-draw algorithm, which the
-tests check against the per-artist calls). Then the similar lists are drawn
-group by group (artists sharing a genre set) from one stream of doubles;
-a group's target weights start from the cross-genre weights and are
-overwritten at its genres' members only, from member lists built once.
-Most rows are drawn a block at a time with array operations, and written
-straight into the CSR graph; id strings are made only for the artist
-records.
+any external service. It draws each artist's popularity level, then 1-3
+distinct genres, then every similar list by exact rejection sampling: a
+target j of artist i weighs (intra if j shares a genre with i else cross) *
+(1 + pop_j) ** 2, proposals come from i's genres or from the whole catalog,
+and those accepted are independent draws of that weight, of which the row
+keeps the first k distinct. Rows are drawn a block at a time with array
+operations, so a catalog depends only on the generator's ``choice``,
+``integers`` and ``random`` calls.
 """
 
 from __future__ import annotations
@@ -111,6 +107,11 @@ class SynthConfig:
             raise ValueError("similar_per_artist must be >= 1")
         if not np.isfinite(self.popularity_exponent):
             raise ValueError(f"popularity_exponent must be finite, got {self.popularity_exponent}")
+        if not np.isfinite(_popularity_weights(self.popularity_exponent)).all():
+            raise ValueError(
+                f"popularity_exponent {self.popularity_exponent} overflows the popularity weights "
+                "(1 + level) ** -exponent"
+            )
 
 
 def genre_names(count: int) -> tuple[str, ...]:
@@ -120,166 +121,84 @@ def genre_names(count: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-# Attempts one similar list may take: a row short of same-genre targets
-# waits on cross-genre picks, ~1 / cross_genre_prob attempts each.
-MAX_ROW_ATTEMPTS = 100_000
+# Proposals a similar list may go without a new pick before the generator
+# gives up on it: a row short of same-genre targets waits on cross-genre
+# picks, which get rarer as cross_genre_prob shrinks.
+MAX_ROW_ATTEMPTS = 1_000_000
 
-# Doubles read ahead per refill of the similar-list draw stream. Small
-# enough that the buffer stays cache-sized next to the catalog arrays.
-_DRAW_BLOCK = 16384
-
-
-class _DrawStream:
-    """The generator's doubles as one stream. Consecutive ``rng.random``
-    calls read consecutive doubles, so reading ahead in blocks and handing
-    the doubles out in order gives the values one call per request would."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buffer = np.empty(0)
-        self._pos = 0
-
-    def peek(self, count: int) -> np.ndarray:
-        """The next ``count`` doubles, without consuming them."""
-        if self._pos + count > self._buffer.size:
-            rest = self._buffer[self._pos :]
-            self._buffer = np.concatenate((rest, self._rng.random(max(_DRAW_BLOCK, count - rest.size))))
-            self._pos = 0
-        return self._buffer[self._pos : self._pos + count]
-
-    def skip(self, count: int) -> None:
-        self._pos += count
+# Similar lists are drawn this many rows at a time. One round of proposals
+# for the rows still short holds up to _ROUND_PROPOSALS of them (but at
+# least 2k a row), so the draw's scratch arrays stay a few MB.
+_ROW_BLOCK = 1024
+_ROUND_PROPOSALS = 1 << 18
 
 
-def _sample_row(stream: _DrawStream, cum: np.ndarray, exclude: int, k: int) -> np.ndarray:
-    """Draw k distinct indices != ``exclude`` proportional to the weights
-    behind the cumulative sum ``cum`` (successive sampling without
-    replacement, realized by inverse-CDF draws with duplicate rejection):
-    each attempt reads 2k doubles, and attempts repeat until k are found,
-    at most MAX_ROW_ATTEMPTS times."""
-    chosen: list[int] = []
-    seen: set[int] = {exclude}
-    for _ in range(MAX_ROW_ATTEMPTS):
-        draws = np.searchsorted(cum, stream.peek(2 * k) * cum[-1], side="right")
-        stream.skip(2 * k)
-        for j in draws.tolist():
-            if j not in seen:
-                seen.add(j)
-                chosen.append(j)
-                if len(chosen) == k:
-                    return np.asarray(chosen, dtype=np.int64)
-    raise ValueError(
-        f"artist index {exclude}: {len(chosen)} of {k} similar artists after {MAX_ROW_ATTEMPTS} attempts; "
-        "raise --cross or lower --similar-per-artist"
-    )
+def _popularity_weights(exponent: float) -> np.ndarray:
+    """P(popularity = level) for levels 0..100, a discrete power law; not
+    finite where ``exponent`` overflows it."""
+    with np.errstate(all="ignore"):
+        weights = (np.arange(101, dtype=np.float64) + 1.0) ** -exponent
+        return weights / weights.sum()
 
 
-def _sample_rows(stream: _DrawStream, cum: np.ndarray, rows: np.ndarray, k: int, out: np.ndarray) -> None:
-    """``_sample_row`` for each of ``rows`` in turn, written sorted to
-    ``out[row]``. Most rows find k distinct picks in their first 2k draws,
-    so a block of rows is drawn and resolved at once on that assumption; the
-    first row that needs more draws is finished by ``_sample_row`` from the
-    same stream, and the next block starts at the first unused double."""
-    per_block = max(1, _DRAW_BLOCK // (2 * k))
-    start = 0
-    while start < rows.size:
-        block = rows[start : start + per_block]
-        draws = stream.peek(2 * k * block.size) * cum[-1]
-        # searched in sorted order, successive searches walk ``cum`` forward
-        # and stay in cache; the picks are scattered back to draw order
-        by_value = np.argsort(draws)
-        picks = np.empty(draws.size, dtype=np.int64)
-        picks[by_value] = np.searchsorted(cum, draws[by_value], side="right")
-        picks = picks.reshape(block.size, 2 * k)
-        # a stable sort puts each value's earliest draw first among its copies
-        order = np.argsort(picks, axis=1, kind="stable")
-        ranked = np.take_along_axis(picks, order, axis=1)
-        first = ranked != block[:, None]
-        first[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
-        fresh = np.empty_like(first)
-        np.put_along_axis(fresh, order, first, axis=1)
-        taken = np.cumsum(fresh, axis=1)
-        done = taken[:, -1] >= k
-        ok = block.size if done.all() else int(np.argmin(done))
-        keep = fresh[:ok] & (taken[:ok] <= k)
-        out[block[:ok]] = np.sort(picks[:ok][keep].reshape(ok, k), axis=1)
-        stream.skip(2 * k * ok)
-        start += ok
-        if ok < block.size:
-            out[block[ok]] = np.sort(_sample_row(stream, cum, int(block[ok]), k))
-            start += 1
+def _draw_genres(rng: np.random.Generator, n: int, genre_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each artist's 1-3 distinct genres in draw order, as an (n, 3) array
+    whose unused slots repeat the first genre, and the counts. Draw t is
+    uniform on [0, genre_count - t) and steps past each genre already taken
+    at or below it, in increasing order, so it is uniform on the genres left."""
+    counts = rng.integers(1, min(3, genre_count) + 1, size=n)
+    drawn = np.repeat(rng.integers(0, genre_count, size=n)[:, None], 3, axis=1)
+    for t in range(1, min(3, genre_count)):
+        rows = np.flatnonzero(counts > t)
+        value = rng.integers(0, genre_count - t, size=rows.size)
+        for taken in np.sort(drawn[rows, :t], axis=1).T:
+            value += value >= taken
+        drawn[rows, t] = value
+    return drawn, counts
 
 
-# PCG64 words read ahead per refill of the genre decode: a few thousand
-# artists' draws, most of them two words each.
-_WORD_BLOCK = 4096
+def _genres_in_common(genres: np.ndarray, counts: np.ndarray, i: np.ndarray | int, j: np.ndarray) -> np.ndarray:
+    """How many of artist ``i``'s genres artist ``j`` has (broadcast index
+    arrays). ``genres`` is (3, n): row t holds each artist's t-th genre,
+    unused slots repeating the first; ``counts`` says how many are used."""
+    theirs = [slot[j] for slot in genres]
+    common = np.zeros(np.broadcast(i, j).shape, dtype=np.int64)
+    for t, slot in enumerate(genres):
+        mine = np.where(counts[i] > t, slot[i], -1)
+        common += (mine == theirs[0]) | (mine == theirs[1]) | (mine == theirs[2])
+    return common
 
-_HALF = 1 << 32
+
+def _genre_union_sizes(drawn: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """How many artists share a genre with each artist, itself included. By
+    inclusion-exclusion over the subsets T of the artist's genre set: the
+    artists whose sets hold all of T count with sign (-1) ** (|T| + 1)."""
+    real = np.arange(3) < counts[:, None]
+    subsets = [np.array(m) for m in itertools.product((False, True), repeat=3) if any(m)]
+    owners = [np.flatnonzero((real | ~m).all(axis=1)) for m in subsets]
+    # a subset's key is its genres sorted after -1 fillers, whatever slots hold them
+    keys = np.concatenate([np.sort(np.where(m, drawn[o], -1), axis=1) for m, o in zip(subsets, owners)])
+    _, inverse, holding = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    signs = np.repeat([(-1) ** (m.sum() + 1) for m in subsets], [o.size for o in owners])
+    union = np.bincount(np.concatenate(owners), weights=signs * holding[inverse.reshape(-1)], minlength=counts.size)
+    return union.astype(np.int64)
 
 
-def _draw_genre_sets(rng: np.random.Generator, n: int, genre_count: int) -> list[list[int]]:
-    """The lists that ``n`` rounds of ``count = rng.integers(1, min(3,
-    genre_count) + 1)`` then ``rng.choice(genre_count, size=count,
-    replace=False).tolist()`` return, leaving ``rng`` in the state those
-    calls would (``rng`` must be PCG64-backed).
-
-    Both calls take 32-bit halves from the bit generator: each 64-bit word
-    gives its low half, and keeps its high half for the next call. A bounded
-    draw on [0, r] is Lemire's method: m = half * (r + 1), taking the next
-    half while m mod 2**32 < (2**32 - (r + 1)) mod (r + 1), and the value is
-    m >> 32; r = 0 reads nothing. ``choice`` runs Floyd's algorithm (for j
-    from genre_count - count to genre_count - 1, take bounded(j), or j if
-    that is taken), then shuffles: for i from count - 1 down to 1, swap
-    items i and bounded(i). The words are read ahead on a copy of the bit
-    generator and decoded in Python ints; ``rng`` then skips the words used.
-    """
-    bitgen = rng.bit_generator
-    start = bitgen.state
-    ahead = type(bitgen)()
-    ahead.state = start
-    # halves[pos] is the next half; halves[pos - 1] the last one handed out
-    halves = [start["uinteger"]]
-    pos = 0 if start["has_uint32"] else 1
-    read = 0
-
-    def bounded(r: int) -> int:
-        nonlocal halves, pos, read
-        if r == 0:
-            return 0
-        threshold = (_HALF - r - 1) % (r + 1)
-        while True:
-            if pos == len(halves):
-                # little-endian halves: each word's low half comes first
-                halves = ahead.random_raw(_WORD_BLOCK).astype("<u8").view("<u4").tolist()
-                pos = 0
-                read += _WORD_BLOCK
-            m = halves[pos] * (r + 1)
-            pos += 1
-            if m % _HALF >= threshold:
-                return m >> 32
-
-    top = min(3, genre_count) - 1
-    sets = []
-    for _ in range(n):
-        count = bounded(top) + 1
-        chosen: list[int] = []
-        for j in range(genre_count - count, genre_count):
-            v = bounded(j)
-            chosen.append(j if v in chosen else v)
-        for i in range(count - 1, 0, -1):
-            s = bounded(i)
-            chosen[i], chosen[s] = chosen[s], chosen[i]
-        sets.append(chosen)
-
-    # an odd number of unused halves leaves a high half buffered; numpy keeps
-    # the last high half in ``uinteger`` even after handing it out
-    unused = len(halves) - pos
-    buffered = unused % 2
-    bitgen.advance(read - unused // 2)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = buffered, halves[pos - 1 + buffered]
-    bitgen.state = state
-    return sets
+def _first_distinct(seq: np.ndarray, own: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``seq``, the first k distinct values other than the row's
+    ``own`` index, in any order and padded with ``own`` to width k, and how
+    many there are. A stable sort puts each value's earliest copy first."""
+    order = np.argsort(seq, axis=1, kind="stable")
+    ranked = np.take_along_axis(seq, order, axis=1)
+    first = ranked != own[:, None]
+    first[:, 1:] &= ranked[:, 1:] != ranked[:, :-1]
+    fresh = np.empty_like(first)
+    np.put_along_axis(fresh, order, first, axis=1)
+    taken = np.cumsum(fresh, axis=1)
+    row, col = np.nonzero(fresh & (taken <= k))
+    picks = np.repeat(own[:, None], k, axis=1)
+    picks[row, taken[row, col] - 1] = seq[row, col]
+    return picks, np.minimum(taken[:, -1], k)
 
 
 def generate_catalog(config: SynthConfig) -> Catalog:
@@ -297,69 +216,95 @@ def generate_catalog(config: SynthConfig) -> Catalog:
     if config.genre_count == 0:
         raise ValueError("genre_count must be >= 1 for a nonempty catalog")
     rng = np.random.default_rng(config.seed)
-    genres = genre_names(config.genre_count)
     k = config.similar_per_artist
+    intra, cross = config.intra_genre_prob, config.cross_genre_prob
 
-    levels = np.arange(101, dtype=np.float64)
-    pop_weights = (levels + 1.0) ** -config.popularity_exponent
-    pop_weights /= pop_weights.sum()
-    popularity = rng.choice(101, size=n, p=pop_weights)
-
-    # Each artist's 1-3 genres, in draw order, decoded from the raw words in
-    # one pass rather than by two numpy calls per artist (same values, same
-    # rng state after). Artists sharing a genre set see identical target
-    # weights, so they are grouped by their sorted genre indices and each
-    # cumulative weight vector is built once. Each genre's members are
-    # listed once, in index order, so a group writes only its genres'
-    # members besides the one cumulative sum.
-    genre_sets = _draw_genre_sets(rng, n, config.genre_count)
-    sizes = np.fromiter(map(len, genre_sets), dtype=np.int64, count=n)
-    flat = np.fromiter(itertools.chain.from_iterable(genre_sets), dtype=np.int64)
-    owner = np.repeat(np.arange(n), sizes)
-    genre_bounds = np.cumsum(np.bincount(flat, minlength=config.genre_count))[:-1]
-    genre_members = np.split(owner[np.argsort(flat, kind="stable")], genre_bounds)
+    popularity = rng.choice(101, size=n, p=_popularity_weights(config.popularity_exponent))
+    drawn, counts = _draw_genres(rng, n, config.genre_count)
     # artists with one ordered genre list share one tuple of names
-    ordered = list(map(tuple, genre_sets))
+    ordered = [tuple(row[:c]) for row, c in zip(drawn.tolist(), counts.tolist())]
+    genres = genre_names(config.genre_count)
     named = {key: tuple(map(genres.__getitem__, key)) for key in set(ordered)}
     genre_lists = list(map(named.__getitem__, ordered))
-    by_genre_set: dict[tuple[int, ...], list[int]] = {}
-    for i, chosen in enumerate(genre_sets):
-        by_genre_set.setdefault(tuple(sorted(chosen)), []).append(i)
+    by_slot = drawn.T.astype(np.int32)
 
-    target_weight = (1.0 + popularity.astype(np.float64)) ** POPULARITY_BIAS_EXPONENT
-    # each group picks one of these products per target; a genre's members
-    # take their intra weights, in member order, in every group it is in
-    cross_weight = config.cross_genre_prob * target_weight
-    intra_by_genre = [config.intra_genre_prob * target_weight[m] for m in genre_members]
-
-    # Row i of the graph is picks[i, :length[i]]. Draw order stays fixed
-    # (groups by key, artists by index) to keep the output deterministic.
+    # Row i of the graph is picks[i, :length[i]]. A target j != i has weight
+    # (intra if it shares a genre with i else cross) * (1 + pop_j) ** BIAS.
+    # A row with at most k positive-weight targets is all of them; with both
+    # probabilities positive that is every other artist, so only n = k + 1
+    # comes that short, and otherwise the genre unions count them.
+    if intra > 0 and cross > 0:
+        length = np.full(n, n - 1)
+    else:
+        union = _genre_union_sizes(drawn, counts)
+        length = (intra > 0) * (union - 1) + (cross > 0) * (n - union)
+    short = length <= k
     picks = np.empty((n, k), dtype=np.int64)
-    length = np.full(n, k, dtype=np.int64)
-    stream = _DrawStream(rng)
-    # reused by every group
-    weights = np.empty(n)
-    cum = np.empty(n)
-    for key in sorted(by_genre_set):
-        members = np.asarray(by_genre_set[key])
-        np.copyto(weights, cross_weight)
-        for g in key:
-            weights[genre_members[g]] = intra_by_genre[g]
-        np.cumsum(weights, out=cum)
-        # a weight is prob * target_weight with target_weight >= 1, so it is
-        # positive exactly where its probability is
-        n_positive = int(np.count_nonzero(weights))
-        # an artist whose own weight is positive could draw itself
-        excludable = cum[members] > np.where(members > 0, cum[members - 1], 0.0)
-        few = n_positive - excludable <= k
-        if few.any():
-            # too few candidates: the row is every positive-weight index but i
-            positive = np.flatnonzero(np.diff(cum, prepend=0.0) > 0)
-            for i in members[few].tolist():
-                row = positive[positive != i]
-                picks[i, : row.size] = row
-                length[i] = row.size
-        _sample_rows(stream, cum, members[~few], k, picks)
+    # the artists of one genre set have the same targets but for themselves
+    targets: dict[tuple[int, ...], np.ndarray] = {}
+    for i in np.flatnonzero(short & (length > 0)).tolist():
+        key = tuple(sorted(set(drawn[i].tolist())))
+        if key not in targets:
+            shared = _genres_in_common(by_slot, counts, i, np.arange(n)) > 0
+            targets[key] = np.flatnonzero(np.where(shared, intra > 0, cross > 0))
+        picks[i, : length[i]] = targets[key][targets[key] != i]
+    length[~short] = k
+
+    # The other rows are drawn by rejection. Segment 0 of ``members`` lists
+    # every artist and segment 1 + g the artists of genre g. A proposal for
+    # row i takes segment 0 with weight cross * (its total (1 + pop) ** BIAS)
+    # or one of i's genres with weight intra * (that segment's total), then
+    # an artist of the segment in proportion to (1 + pop) ** BIAS. An artist
+    # with c of i's genres comes up in proportion to (cross + intra * c) *
+    # (1 + pop) ** BIAS and is accepted with probability (intra if c else
+    # cross) / (cross + intra * c), so accepted proposals are independent
+    # draws of the row's weights. The row keeps the first k distinct ones
+    # other than i: their successive sample.
+    listed = drawn[np.arange(3) < counts[:, None]]
+    members = np.concatenate((np.arange(n), np.repeat(np.arange(n), counts)[np.argsort(listed, kind="stable")]))
+    cum = np.cumsum((1.0 + popularity[members]) ** POPULARITY_BIAS_EXPONENT)
+    segment_end = n + np.concatenate(([0], np.cumsum(np.bincount(listed, minlength=config.genre_count))))
+    segment_top = cum[segment_end - 1]
+    segment_base = np.concatenate(([0.0], segment_top[:-1]))
+    segments = np.concatenate((np.zeros((n, 1), dtype=np.int64), 1 + drawn), axis=1)
+    choice = np.where(segments > 0, intra, cross) * (np.arange(4) <= counts[:, None])
+    choice_cum = np.cumsum(choice * (segment_top - segment_base)[segments], axis=1)
+    rows = np.flatnonzero(~short)
+    for start in range(0, rows.size, _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        found = np.repeat(block[:, None], k, axis=1)
+        got = np.zeros(block.size, dtype=np.int64)
+        # proposals since each row's last new pick
+        idle = np.zeros(block.size, dtype=np.int64)
+        batch = 2 * k
+        while block.size:
+            batch = min(batch, max(2 * k, _ROUND_PROPOSALS // block.size))
+            shape = (block.size, batch)
+            draw = rng.random(shape) * choice_cum[block, -1:]
+            segment = segments[block[:, None], (draw[..., None] >= choice_cum[block, None, :-1]).sum(axis=-1)]
+            base = segment_base[segment]
+            at = np.searchsorted(cum, base + rng.random(shape) * (segment_top[segment] - base), side="right")
+            proposal = members[np.minimum(at, segment_end[segment] - 1)]
+            common = _genres_in_common(by_slot, counts, block[:, None], proposal)
+            accepted = rng.random(shape) * (cross + intra * common) < np.where(common > 0, intra, cross)
+            # the accepted proposals, in draw order after the picks so far
+            slot = np.cumsum(accepted, axis=1) + (k - 1)
+            seq = np.repeat(block[:, None], slot[:, -1].max() + 1, axis=1)
+            seq[:, :k] = found
+            row, col = np.nonzero(accepted)
+            seq[row, slot[row, col]] = proposal[row, col]
+            found, now = _first_distinct(seq, block, k)
+            idle = np.where(now > got, 0, idle + batch)
+            done = now == k
+            picks[block[done]] = np.sort(found[done], axis=1)
+            block, found, got, idle = block[~done], found[~done], now[~done], idle[~done]
+            batch += batch // 2
+            if (idle >= MAX_ROW_ATTEMPTS).any():
+                stalled = np.argmax(idle >= MAX_ROW_ATTEMPTS)
+                raise ValueError(
+                    f"artist index {block[stalled]}: {got[stalled]} of {k} similar artists after "
+                    f"{MAX_ROW_ATTEMPTS} attempts; raise --cross or lower --similar-per-artist"
+                )
 
     width = max(5, len(str(n - 1)))
     ids = [f"a{i:0{width}d}" for i in range(n)]

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,15 @@ class TestSynthCommand:
     def test_nan_exponent_fails_in_one_line(self, tmp_path, capsys):
         assert run(["synth", "--artists", 50, "--exponent", "nan", "--seed", 1, "--out", tmp_path / "x"]) == 1
         assert capsys.readouterr().err == "error: popularity_exponent must be finite, got nan\n"
+
+    def test_overflowing_exponent_fails_in_one_line(self, tmp_path, capsys):
+        # (1 + 100) ** 1000 overflows; no numpy warning may reach stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["synth", "--artists", 30, "--exponent", -1000, "--seed", 1, "--out", tmp_path / "x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: popularity_exponent -1000.0 overflows the popularity weights (1 + level) ** -exponent\n"
+        )
 
 
 @pytest.mark.parametrize(

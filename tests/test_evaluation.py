@@ -267,24 +267,26 @@ class TestRunExperiment:
         assert len(got) == 12 and got == expected
 
     def test_sampled_trials_are_pinned(self, tmp_path):
-        # Digest of the per-trial CSV recorded before the genre queries were
-        # indexed. random and oracle make no BLAS calls, so the bytes do not
-        # depend on the machine. A change that alters trials on purpose
-        # updates the digest and says why.
+        # Digest of the per-trial CSV, re-recorded on the rejection-sampled
+        # catalog; indexing the genre queries had left it unchanged. random
+        # and oracle make no BLAS calls, so the bytes do not depend on the
+        # machine. A change that alters trials on purpose updates the digest
+        # and says why.
         catalog = generate_catalog(SynthConfig(seed=2024, artist_count=1000))
         config = ExperimentConfig(trials_per_bin=5, master_seed=9)
         report = run_experiment(catalog, {"random": random_scorer, "oracle": oracle_scorer}, config)
         path = tmp_path / "trials.csv"
         write_trials_csv(report, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "7ebbc12e807514202793cdd5bf555affd69ae8ad91972dfb693a0c2ad1f027b8"
+        assert digest == "42bb48b9fa38690278d57767a7531d5027ecf5c0f3b9a3fe05c20ad7929d5dab"
 
     def test_model_scored_trials_are_pinned(self, tmp_path):
         # Digest of the per-trial CSV of both models and both references,
-        # recorded before fold-in took the Woodbury path and the autoencoder
-        # decoded candidate rows only. An AUC moves only if a rank moves, so
-        # rounding-level score changes leave the bytes alone; a change that
-        # moves an AUC updates the digest and says why.
+        # re-recorded on the rejection-sampled catalog; the Woodbury fold-in
+        # and the candidate-row decode had left it unchanged. An AUC moves
+        # only if a rank moves, so rounding-level score changes leave the
+        # bytes alone; a change that moves an AUC updates the digest and
+        # says why.
         catalog = generate_catalog(SynthConfig(seed=11, artist_count=300))
         wrmf_model = train_wrmf(catalog.graph, WrmfConfig(k=16, sweeps=3, seed=1))
         vae_model, _ = train_multvae(
@@ -302,7 +304,7 @@ class TestRunExperiment:
         write_trials_csv(report, path)
         assert [row.n_trials for row in report.rows] == [8] * 12
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "ae813eb7c3358128b9367c1fa70fec036b7e72c59cbf1f4c402d28eb69efb33c"
+        assert digest == "4c29ce78d38388f4163d820918ef9c8a01d12fec8c9f362a3b2ccbc5457e06ba"
 
     def test_means_within_unit_interval(self, synth_catalog):
         config = ExperimentConfig(bins=((0, 4), (5, 9)), trials_per_bin=25, master_seed=6)
