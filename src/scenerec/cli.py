@@ -48,33 +48,21 @@ def _parse_id_list(text: str) -> tuple[str, ...]:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.from_fixture:
-        # a crawl draws nothing, but a --seed given to it is still checked
-        if args.seed is not None and args.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {args.seed}")
-        seeds = _parse_id_list(args.seeds or "")
-        if not seeds:
-            raise ValueError("--from-fixture needs --seeds: the crawl has nothing to start from")
-        provider = synth.FixtureProvider(args.from_fixture)
-        catalog = synth.snowball_crawl(provider, seeds, args.limit)
-        label = "crawled"
-    else:
-        config = synth.SynthConfig(
-            seed=args.seed,
-            artist_count=args.artists,
-            genre_count=args.genres,
-            popularity_exponent=args.exponent,
-            intra_genre_prob=args.intra,
-            cross_genre_prob=args.cross,
-            similar_per_artist=args.similar_per_artist,
-        )
-        catalog = synth.generate_catalog(config)
-        label = "generated"
+    config = synth.SynthConfig(
+        seed=args.seed,
+        artist_count=args.artists,
+        genre_count=args.genres,
+        popularity_exponent=args.exponent,
+        intra_genre_prob=args.intra,
+        cross_genre_prob=args.cross,
+        similar_per_artist=args.similar_per_artist,
+    )
+    catalog = synth.generate_catalog(config)
     cat.save_catalog(catalog, args.out)
     print(f"wrote {catalog.n} artists, {catalog.graph.edge_count} similarity edges -> {args.out}")
     if catalog.n:
         print(f"{'subset':<24}{'artists':>8}{'25%':>6}{'50%':>6}{'75%':>6}{'95%':>6}")
-        print(f"{label:<24}{catalog.n:>8}" + "".join(f"{v:>6}" for v in cat.popularity_percentiles(catalog)))
+        print(f"{'generated':<24}{catalog.n:>8}" + "".join(f"{v:>6}" for v in cat.popularity_percentiles(catalog)))
     return 0
 
 
@@ -232,19 +220,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     configs = (synth.SynthConfig, wrmf.WrmfConfig, multvae.VaeConfig, evaluation.ExperimentConfig)
     fd = {f.name: f.default for c in configs for f in dataclasses.fields(c)}
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic catalog or crawl a fixture file", formatter_class=fmt)
+    p_synth = sub.add_parser("synth", help="generate a synthetic catalog", formatter_class=fmt)
     p_synth.add_argument("--config", help="JSON file of flag defaults")
     p_synth.add_argument("--out", type=resolve_path, help="catalog output path (JSON Lines)")
-    p_synth.add_argument("--seed", type=int, help="generator seed (a crawl needs none)")
+    p_synth.add_argument("--seed", type=int, help="generator seed")
     p_synth.add_argument("--artists", type=int, default=fd["artist_count"], help="artist count")
     p_synth.add_argument("--genres", type=int, default=fd["genre_count"], help="genre count")
     p_synth.add_argument("--exponent", type=float, default=fd["popularity_exponent"], help="popularity power-law decay")
     p_synth.add_argument("--intra", type=float, default=fd["intra_genre_prob"], help="same-genre similarity weight")
     p_synth.add_argument("--cross", type=float, default=fd["cross_genre_prob"], help="cross-genre similarity weight")
     p_synth.add_argument("--similar-per-artist", type=int, default=fd["similar_per_artist"], help="similar-list length")
-    p_synth.add_argument("--from-fixture", type=resolve_path, help="crawl this catalog file instead of generating")
-    p_synth.add_argument("--seeds", help="comma-separated seed artist ids for the crawl")
-    p_synth.add_argument("--limit", type=int, default=1000, help="max artists to fetch in a crawl")
     p_synth.set_defaults(func=cmd_synth, required_fields=("seed", "out"))
 
     p_train = sub.add_parser("train", help="train a recommender on a catalog", formatter_class=fmt)
@@ -326,9 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     if bad:
         print(f"error: --config {config_path}: {bad[0]}", file=sys.stderr)
         return 1
-    # a crawl draws nothing, so only generation needs --seed
-    required = ("out",) if getattr(args, "from_fixture", None) else args.required_fields
-    missing = [f"--{name}" for name in required if getattr(args, name) in (None, "")]
+    missing = [f"--{name}" for name in args.required_fields if getattr(args, name) in (None, "")]
     if missing:
         args.subparser.error(f"the following arguments are required: {', '.join(missing)}")
     try:

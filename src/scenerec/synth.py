@@ -1,8 +1,5 @@
-"""Snowball crawling of a loaded catalog, and synthetic catalog generation.
+"""Synthetic catalog generation, and the snowball crawl of a loaded catalog.
 
-The crawler stands in for expanding a music platform's similar-artist API
-from seed artists: it walks a catalog's similarity graph breadth-first from
-a seed set until it hits a fetch limit, and keeps the sub-catalog it reached.
 The generator fabricates a whole catalog with long-tail popularity and
 genre-clustered similar lists, so experiments can run at desk scale without
 any external service. It draws each artist's popularity level, then 1-3
@@ -13,11 +10,14 @@ and those accepted are independent draws of that weight, of which the row
 keeps the first k distinct. Rows are drawn a block at a time with array
 operations, so a catalog depends only on the generator's ``choice``,
 ``integers`` and ``random`` calls.
+
+The crawl keeps what a breadth-first walk of a catalog's similarity graph
+from seed artists reaches within a fetch limit. It has no command line and
+stays only for perfbench's ``catalog-50k`` workload (ROADMAP items 2, 4).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -114,11 +114,9 @@ class SynthConfig:
             )
 
 
-def genre_names(count: int) -> tuple[str, ...]:
-    """The common 20 tags first, then generated names for any excess."""
-    names = list(COMMON_GENRES[:count])
-    names += [f"genre-{i}" for i in range(len(names) + 1, count + 1)]
-    return tuple(names)
+def genre_name(code: int) -> str:
+    """Genre ``code``'s name: the 20 common tags first, then ``genre-{code + 1}``."""
+    return COMMON_GENRES[code] if code < len(COMMON_GENRES) else f"genre-{code + 1}"
 
 
 # Proposals a similar list may go without a new pick before the generator
@@ -169,21 +167,6 @@ def _genres_in_common(genres: np.ndarray, counts: np.ndarray, i: np.ndarray | in
     return common
 
 
-def _genre_union_sizes(drawn: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """How many artists share a genre with each artist, itself included. By
-    inclusion-exclusion over the subsets T of the artist's genre set: the
-    artists whose sets hold all of T count with sign (-1) ** (|T| + 1)."""
-    real = np.arange(3) < counts[:, None]
-    subsets = [np.array(m) for m in itertools.product((False, True), repeat=3) if any(m)]
-    owners = [np.flatnonzero((real | ~m).all(axis=1)) for m in subsets]
-    # a subset's key is its genres sorted after -1 fillers, whatever slots hold them
-    keys = np.concatenate([np.sort(np.where(m, drawn[o], -1), axis=1) for m, o in zip(subsets, owners)])
-    _, inverse, holding = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    signs = np.repeat([(-1) ** (m.sum() + 1) for m in subsets], [o.size for o in owners])
-    union = np.bincount(np.concatenate(owners), weights=signs * holding[inverse.reshape(-1)], minlength=counts.size)
-    return union.astype(np.int64)
-
-
 def _first_distinct(seq: np.ndarray, own: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``seq``, the first k distinct values other than the row's
     ``own`` index, in any order and padded with ``own`` to width k, and how
@@ -223,47 +206,65 @@ def generate_catalog(config: SynthConfig) -> Catalog:
     drawn, counts = _draw_genres(rng, n, config.genre_count)
     # artists with one ordered genre list share one tuple of names
     ordered = [tuple(row[:c]) for row, c in zip(drawn.tolist(), counts.tolist())]
-    genres = genre_names(config.genre_count)
-    named = {key: tuple(map(genres.__getitem__, key)) for key in set(ordered)}
-    genre_lists = list(map(named.__getitem__, ordered))
-    by_slot = drawn.T.astype(np.int32)
+    named = {key: tuple(map(genre_name, key)) for key in set(ordered)}
+    width = max(5, len(str(n - 1)))
+    ids = [f"a{i:0{width}d}" for i in range(n)]
+    names = [f"Artist {aid[1:]}" for aid in ids]
+    artists = tuple(map(Artist, ids, names, popularity.tolist(), map(named.__getitem__, ordered)))
+    if intra == cross == 0:
+        # no target has positive weight, so every row is empty
+        return Catalog(artists, SimilarityGraph(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
+
+    # Segment 0 of ``members`` lists every artist and segment 1 + g, which
+    # ends at segment_end[1 + g], the artists of genre g in index order.
+    listed = drawn[np.arange(3) < counts[:, None]]
+    members = np.concatenate((np.arange(n), np.repeat(np.arange(n), counts)[np.argsort(listed, kind="stable")]))
+    genre_size = np.bincount(listed, minlength=config.genre_count)
+    segment_end = n + np.concatenate(([0], np.cumsum(genre_size)))
 
     # Row i of the graph is picks[i, :length[i]]. A target j != i has weight
     # (intra if it shares a genre with i else cross) * (1 + pop_j) ** BIAS.
-    # A row with at most k positive-weight targets is all of them; with both
-    # probabilities positive that is every other artist, so only n = k + 1
-    # comes that short, and otherwise the genre unions count them.
-    if intra > 0 and cross > 0:
-        length = np.full(n, n - 1)
-    else:
-        union = _genre_union_sizes(drawn, counts)
-        length = (intra > 0) * (union - 1) + (cross > 0) * (n - union)
-    short = length <= k
+    # A row with at most k positive-weight targets is all of them. With both
+    # weights positive those are the other n - 1 artists, so only n = k + 1
+    # comes that short. With cross 0 they are the union of i's genre
+    # segments, short only if each segment holds at most k + 1 artists; with
+    # intra 0 the artists outside it, short only if the segments hold n - k
+    # together. Each genre set that may be short gets its union once.
+    size = genre_size[drawn] * (np.arange(3) < counts[:, None])
+    may_be_short = np.full(n, n == k + 1)
+    if cross == 0:
+        may_be_short |= size.max(axis=1) <= k + 1
+    if intra == 0:
+        may_be_short |= size.sum(axis=1) >= n - k
+    length = np.full(n, k + 1)
     picks = np.empty((n, k), dtype=np.int64)
     # the artists of one genre set have the same targets but for themselves
     targets: dict[tuple[int, ...], np.ndarray] = {}
-    for i in np.flatnonzero(short & (length > 0)).tolist():
+    for i in np.flatnonzero(may_be_short).tolist():
         key = tuple(sorted(set(drawn[i].tolist())))
         if key not in targets:
-            shared = _genres_in_common(by_slot, counts, i, np.arange(n)) > 0
-            targets[key] = np.flatnonzero(np.where(shared, intra > 0, cross > 0))
-        picks[i, : length[i]] = targets[key][targets[key] != i]
+            union = np.unique(np.concatenate([members[segment_end[g] : segment_end[g + 1]] for g in key]))
+            if cross > 0:
+                union = np.setdiff1d(np.arange(n), union) if intra == 0 else np.arange(n)
+            targets[key] = union
+        # i is a target of its own genre set exactly when intra > 0
+        if targets[key].size - (intra > 0) <= k:
+            length[i] = targets[key].size - (intra > 0)
+            picks[i, : length[i]] = targets[key][targets[key] != i]
+    short = length <= k
     length[~short] = k
 
-    # The other rows are drawn by rejection. Segment 0 of ``members`` lists
-    # every artist and segment 1 + g the artists of genre g. A proposal for
-    # row i takes segment 0 with weight cross * (its total (1 + pop) ** BIAS)
-    # or one of i's genres with weight intra * (that segment's total), then
-    # an artist of the segment in proportion to (1 + pop) ** BIAS. An artist
-    # with c of i's genres comes up in proportion to (cross + intra * c) *
+    # The other rows are drawn by rejection. A proposal for row i takes
+    # segment 0 with weight cross * (its total (1 + pop) ** BIAS) or one of
+    # i's genres with weight intra * (that segment's total), then an artist
+    # of the segment in proportion to (1 + pop) ** BIAS. An artist with c of
+    # i's genres comes up in proportion to (cross + intra * c) *
     # (1 + pop) ** BIAS and is accepted with probability (intra if c else
     # cross) / (cross + intra * c), so accepted proposals are independent
     # draws of the row's weights. The row keeps the first k distinct ones
     # other than i: their successive sample.
-    listed = drawn[np.arange(3) < counts[:, None]]
-    members = np.concatenate((np.arange(n), np.repeat(np.arange(n), counts)[np.argsort(listed, kind="stable")]))
+    by_slot = drawn.T.astype(np.int32)
     cum = np.cumsum((1.0 + popularity[members]) ** POPULARITY_BIAS_EXPONENT)
-    segment_end = n + np.concatenate(([0], np.cumsum(np.bincount(listed, minlength=config.genre_count))))
     segment_top = cum[segment_end - 1]
     segment_base = np.concatenate(([0.0], segment_top[:-1]))
     segments = np.concatenate((np.zeros((n, 1), dtype=np.int64), 1 + drawn), axis=1)
@@ -306,10 +307,6 @@ def generate_catalog(config: SynthConfig) -> Catalog:
                     f"{MAX_ROW_ATTEMPTS} attempts; raise --cross or lower --similar-per-artist"
                 )
 
-    width = max(5, len(str(n - 1)))
-    ids = [f"a{i:0{width}d}" for i in range(n)]
-    names = [f"Artist {aid[1:]}" for aid in ids]
-    artists = tuple(map(Artist, ids, names, popularity.tolist(), genre_lists))
     # the zero-padded ids sort in index order, so the rows are already the
     # catalog's CSR rows
     indptr = np.concatenate(([0], np.cumsum(length)))

@@ -37,16 +37,6 @@ class TestSynthCommand:
         out = capsys.readouterr().out
         assert "25%" in out and "95%" in out and "generated" in out
 
-    def test_crawl_respects_limit(self, tmp_path, small_catalog_file):
-        catalog = load_catalog(small_catalog_file)
-        out = tmp_path / "crawl.jsonl"
-        code = run(
-            ["synth", "--from-fixture", small_catalog_file, "--seeds", catalog.ids[0], "--limit", 50,
-             "--seed", 0, "--out", out]
-        )
-        assert code == 0
-        assert load_catalog(out).n <= 50
-
     def test_long_tail_shape_in_generated_catalog(self, tmp_path):
         out = tmp_path / "c.jsonl"
         run(["synth", "--artists", 3000, "--seed", 5, "--out", out])
@@ -58,39 +48,6 @@ class TestSynthCommand:
 
     def test_bad_flags_exit_nonzero(self, tmp_path):
         assert run(["synth", "--artists", 3, "--similar-per-artist", 5, "--seed", 1, "--out", tmp_path / "x"]) == 1
-
-    def test_missing_seed_fails_in_one_line(self, tmp_path, small_catalog_file, capsys):
-        out = tmp_path / "crawl.jsonl"
-        code = run(["synth", "--from-fixture", small_catalog_file, "--seeds", "ghost", "--seed", 0, "--out", out])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "ghost" in err and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_crawl_needs_no_seed(self, tmp_path, small_catalog_file):
-        crawl = ["synth", "--from-fixture", small_catalog_file, "--seeds", "a00000", "--limit", 50]
-        assert run([*crawl, "--out", tmp_path / "plain.jsonl"]) == 0
-        assert run([*crawl, "--seed", 3, "--out", tmp_path / "seeded.jsonl"]) == 0
-        assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "seeded.jsonl").read_bytes()
-        assert load_catalog(tmp_path / "plain.jsonl").n == 50
-
-    @pytest.mark.parametrize("seeds", [None, ","])
-    def test_crawl_without_seeds_fails_in_one_line(self, tmp_path, small_catalog_file, seeds, capsys):
-        out = tmp_path / "crawl.jsonl"
-        argv = ["synth", "--from-fixture", small_catalog_file, "--seed", 0, "--out", out]
-        code = run(argv + (["--seeds", seeds] if seeds else []))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --from-fixture needs --seeds") and err.count("\n") == 1
-        assert not out.exists()
-
-    def test_non_utf8_fixture_fails_in_one_line(self, tmp_path, capsys):
-        fixture, out = tmp_path / "fixture.jsonl", tmp_path / "crawl.jsonl"
-        fixture.write_bytes(b"\xff\xfe" + json.dumps({"id": "a"}).encode("utf-8") + b"\n")
-        code = run(["synth", "--from-fixture", fixture, "--seeds", "a", "--seed", 0, "--out", out])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {fixture}:1: not UTF-8 text (byte 0: invalid start byte)\n"
-        assert not out.exists()
 
     def test_tiny_cross_weight_fails_in_one_line(self, tmp_path, capsys):
         # same-genre targets are short of 20 for some rows, and cross-genre
@@ -149,7 +106,9 @@ def test_empty_required_path_is_not_given(tmp_path, monkeypatch, small_catalog_f
 @pytest.mark.parametrize(
     "argv, extra",
     [(["synth", "--trials", "abc"], "--trials abc"), (["train", "wrmf", "--bogus"], "--bogus"),
-     (["eval", "--k", 8, "--seed", 1], "--k 8"), (["report", "report.csv", "more.csv"], "more.csv")],
+     (["eval", "--k", 8, "--seed", 1], "--k 8"), (["report", "report.csv", "more.csv"], "more.csv"),
+     # synth only generates: the crawl flags are gone
+     (["synth", "--from-fixture", "x", "--seeds", "a", "--out", "y"], "--from-fixture x --seeds a")],
 )
 def test_unknown_argument_is_reported_by_the_subcommand(argv, extra, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -164,8 +123,7 @@ def test_unknown_argument_is_reported_by_the_subcommand(argv, extra, capsys):
     "argv, field",
     [(["synth", "--artists", 30], "seed"), (["train", "wrmf", "--catalog", "{catalog}"], "seed"),
      (["train", "multvae", "--catalog", "{catalog}"], "seed"),
-     (["eval", "--catalog", "{catalog}", "--algorithms", "oracle"], "master_seed"),
-     (["synth", "--from-fixture", "{catalog}", "--seeds", "a00000"], "seed")],
+     (["eval", "--catalog", "{catalog}", "--algorithms", "oracle"], "master_seed")],
 )
 def test_negative_seed_fails_in_one_line(tmp_path, small_catalog_file, capsys, argv, field):
     out = tmp_path / "out"
@@ -198,6 +156,13 @@ class TestTrainCommand:
         empty.write_text("")
         out = tmp_path / "model.npz"
         assert run(["train", "wrmf", "--catalog", empty, "--seed", 1, "--out", out]) == 1
+        assert not out.exists()
+
+    def test_non_utf8_catalog_fails_in_one_line(self, tmp_path, capsys):
+        catalog, out = tmp_path / "catalog.jsonl", tmp_path / "model.npz"
+        catalog.write_bytes(b"\xff\xfe" + json.dumps({"id": "a"}).encode("utf-8") + b"\n")
+        assert run(["train", "wrmf", "--catalog", catalog, "--seed", 0, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {catalog}:1: not UTF-8 text (byte 0: invalid start byte)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -569,7 +534,6 @@ class TestConfigFileAndEnv:
         # every path flag, report's file, --config and a --model's path
         commands = [
             ["synth", "--artists", 200, "--seed", 2, "--out", "cat.jsonl"],
-            ["synth", "--from-fixture", "cat.jsonl", "--seeds", "a00000", "--limit", 20, "--out", "crawl.jsonl"],
             ["train", "wrmf", "--config", "train.json", "--catalog", "cat.jsonl", "--seed", 1, "--out", "wrmf.npz"],
             ["eval", "--catalog", "cat.jsonl", "--model", "wrmf=wrmf.npz", "--bins", "0-99", "--trials", 2,
              "--seed", 1, "--out", "report.csv", "--per-trial", "trials.csv", "--plot-data", "plot.csv"],
@@ -577,10 +541,9 @@ class TestConfigFileAndEnv:
         ]
         for argv in commands:
             assert run(argv) == 0, argv
-        written = {"train.json", "cat.jsonl", "crawl.jsonl", "wrmf.npz", "report.csv", "trials.csv", "plot.csv"}
+        written = {"train.json", "cat.jsonl", "wrmf.npz", "report.csv", "trials.csv", "plot.csv"}
         assert {p.name for p in data.iterdir()} == written
         assert list(cwd.iterdir()) == []
-        assert load_catalog(data / "crawl.jsonl").n == 20
         assert load_factor_model(data / "wrmf.npz").config.k == 2
 
     def test_empty_optional_path_writes_nothing(self, tmp_path, small_catalog_file, capsys):

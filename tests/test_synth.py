@@ -12,7 +12,7 @@ from scenerec.synth import (
     FixtureProvider,
     SynthConfig,
     generate_catalog,
-    genre_names,
+    genre_name,
     snowball_crawl,
 )
 from tests.conftest import build_catalog, graph_from_rows
@@ -166,6 +166,8 @@ class TestSnowballCrawl:
 # rows finished in one round of proposals and in several; the one-genre
 # config gives every artist one genre segment; the 70-genre one (as
 # ``--genres 70``) draws genre indices past the common pool and past 63.
+# The last two list most (intra 0) or some (cross 0) rows whole, from the
+# genre segments, beside sampled rows.
 PINNED_CATALOGS = [
     pytest.param(dict(seed=7, artist_count=5000), "acc8d8605d47eb961b5dc34c10fbd577436e4d097b1ede0a63838792d062d6b8", id="5k"),
     pytest.param(dict(seed=3, artist_count=30), "b6a4be7c92f15b4205cc59321bf4cbb0ad25643c8b6ea47ea66c4e21e4b7f8bc", id="30"),
@@ -198,6 +200,16 @@ PINNED_CATALOGS = [
         dict(seed=9, artist_count=400, genre_count=70),
         "94905cb2b69a10f50200fa411826e70d3ad51a67c53adc97cba6bce31486e47f",
         id="400-seventy-genres",
+    ),
+    pytest.param(
+        dict(seed=6, artist_count=60, genre_count=3, intra_genre_prob=0.0, cross_genre_prob=0.5),
+        "bcbcfc1068f7f0202ffb1020a555c4cfe11555027232de7d349b9409d2bdb08c",
+        id="60-cross-only",
+    ),
+    pytest.param(
+        dict(seed=3, artist_count=2000, genre_count=200, cross_genre_prob=0.0),
+        "4db79bf05ead313842f7e4cb7863adf05e802c1e35fe8228e63a1b2bb917e94e",
+        id="2000-intra-only-200-genres",
     ),
 ]
 
@@ -411,7 +423,7 @@ class TestGenerateCatalog:
                 SynthConfig(seed=1, popularity_exponent=exponent)
 
     def test_genre_names_extend_past_common_pool(self):
-        names = genre_names(23)
+        names = tuple(map(genre_name, range(23)))
         assert names[:20] == COMMON_GENRES
         assert names[20:] == ("genre-21", "genre-22", "genre-23")
-        assert genre_names(4) == ("rock", "jazz", "punk", "reggae")
+        assert names[:4] == ("rock", "jazz", "punk", "reggae")
