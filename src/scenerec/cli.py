@@ -316,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         args.subparser.error(f"the following arguments are required: {', '.join(missing)}")
     try:
         return args.func(args)
-    except (cat.CatalogError, ModelMismatchError, ValueError, OSError, FloatingPointError) as exc:
+    except (ModelMismatchError, ValueError, OSError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,10 +19,10 @@ input columns that survive in some row of the batch (a similarity row has
 ~20 among thousands), the reconstruction target is subtracted at the ones
 only, and the ``w_enc`` gradient holds only those columns' rows. Adam takes
 that row-sparse gradient: it decays every moment, adds the gradient at its
-rows only, and applies its elementwise passes in cache-sized blocks. Every
-element sees the same floating-point operations, in the same order, as in
-training on dense matrices, so the trained weights equal that training's
-bit for bit.
+rows only, and applies its elementwise passes to cache-sized runs of whole
+rows. Every element sees the same floating-point operations, in the same
+order, as in training on dense matrices, so the trained weights equal that
+training's bit for bit.
 
 The parameters are float32, the precision of the Mult-VAE reference
 implementation, and every later array follows their dtype: the batch
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,8 +69,9 @@ PARAM_SHAPES: dict[str, tuple[str, ...]] = {
 }
 PARAM_NAMES = tuple(PARAM_SHAPES)
 
-# Elements per block of an Adam update: the four arrays of one block, 1 MiB
-# in float32, stay in L2 across the update's twelve elementwise passes.
+# Elements per run of whole rows in an Adam update: the four arrays of one
+# run, 1 MiB in float32, stay in L2 across the update's twelve elementwise
+# passes. A row longer than this is a run by itself.
 ADAM_BLOCK = 1 << 16
 
 
@@ -237,22 +238,6 @@ def loss_and_gradients(
     return loss, grads, used
 
 
-def _blocks(shape: tuple[int, ...]) -> Iterator[tuple]:
-    """Index tuples that cut an array of ``shape`` into basic-slice views of
-    at most ADAM_BLOCK elements: runs of whole rows along axis 0, or, when
-    one row is larger, each row cut the same way. The first index is always
-    a slice along axis 0."""
-    row_size = math.prod(shape[1:])
-    if row_size > ADAM_BLOCK:
-        for i in range(shape[0]):
-            for rest in _blocks(shape[1:]):
-                yield (slice(i, i + 1), *rest)
-        return
-    rows = ADAM_BLOCK // max(row_size, 1)
-    for start in range(0, shape[0], rows):
-        yield (slice(start, start + rows),)
-
-
 def adam_step(
     param: np.ndarray,
     grad: np.ndarray,
@@ -275,24 +260,26 @@ def adam_step(
     with step = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
     eps_hat = eps * sqrt(1 - beta2^t); these scalars are Python floats, so
     every pass runs in the arrays' dtype. ``grad`` serves as the scratch
-    buffer, so it is overwritten. The elementwise passes run block by block
-    (see ``_blocks``), so each block's arrays stay in cache between passes;
-    every element sees the same operations, so the result does not depend on
-    the blocking. With ``rows``, the gradient terms are added at those rows
-    only; adding a zero gradient leaves a moment unchanged, so the result
-    equals the dense call's on the zero-filled gradient, bit for bit."""
+    buffer, so it is overwritten. The elementwise passes run on runs of
+    whole rows along axis 0, as many as fit in ADAM_BLOCK elements (one row
+    when a row is larger), so each run's arrays stay in cache between
+    passes; every element sees the same operations, so the result does not
+    depend on the runs. With ``rows``, the gradient terms are added at those
+    rows only; adding a zero gradient leaves a moment unchanged, so the
+    result equals the dense call's on the zero-filled gradient, bit for bit."""
     correction2 = math.sqrt(1.0 - beta2**t)
     step = lr * correction2 / (1.0 - beta1**t)
-    scratch = None if rows is None else np.empty(ADAM_BLOCK, param.dtype)
-    for block in _blocks(param.shape):
-        p, mb, vb = param[block], m[block], v[block]
+    run = max(1, ADAM_BLOCK // math.prod(param.shape[1:]))
+    scratch = None if rows is None else np.empty((run, *param.shape[1:]), param.dtype)
+    for start in range(0, param.shape[0], run):
+        p, mb, vb = param[start : start + run], m[start : start + run], v[start : start + run]
         if rows is None:
-            at, g = ..., grad[block]
+            at, g = ..., grad[start : start + run]
             out = g
         else:
-            lo, hi = np.searchsorted(rows, (block[0].start, block[0].stop))
-            at, g = rows[lo:hi] - block[0].start, grad[(slice(lo, hi), *block[1:])]
-            out = scratch[: mb.size].reshape(mb.shape)
+            lo, hi = np.searchsorted(rows, (start, start + run))
+            at, g = rows[lo:hi] - start, grad[lo:hi]
+            out = scratch[: mb.shape[0]]
         mb *= beta1
         vb *= beta2
         g *= 1.0 - beta1

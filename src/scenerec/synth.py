@@ -215,11 +215,14 @@ def generate_catalog(config: SynthConfig) -> Catalog:
         # no target has positive weight, so every row is empty
         return Catalog(artists, SimilarityGraph(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)))
 
+    # From here on a genre is its rank among the genres drawn, which keeps
+    # their order, so arrays over genres do not grow with genre_count.
+    drawn = np.unique(drawn, return_inverse=True)[1].reshape(drawn.shape)
     # Segment 0 of ``members`` lists every artist and segment 1 + g, which
     # ends at segment_end[1 + g], the artists of genre g in index order.
     listed = drawn[np.arange(3) < counts[:, None]]
     members = np.concatenate((np.arange(n), np.repeat(np.arange(n), counts)[np.argsort(listed, kind="stable")]))
-    genre_size = np.bincount(listed, minlength=config.genre_count)
+    genre_size = np.bincount(listed)
     segment_end = n + np.concatenate(([0], np.cumsum(genre_size)))
 
     # Row i of the graph is picks[i, :length[i]]. A target j != i has weight

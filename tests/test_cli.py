@@ -60,6 +60,13 @@ class TestSynthCommand:
         assert err.startswith("error: artist index ") and "raise --cross" in err and err.count("\n") == 1
         assert not out.exists()
 
+    def test_genre_count_past_memory_names_only_the_genres_drawn(self, tmp_path):
+        out = tmp_path / "g.jsonl"
+        assert run(["synth", "--artists", 30, "--genres", 10**15, "--seed", 1, "--out", out]) == 0
+        catalog = load_catalog(out)
+        assert catalog.n == 30
+        assert all(g.startswith("genre-") for a in catalog.artists for g in a.genres)
+
     def test_nan_exponent_fails_in_one_line(self, tmp_path, capsys):
         assert run(["synth", "--artists", 50, "--exponent", "nan", "--seed", 1, "--out", tmp_path / "x"]) == 1
         assert capsys.readouterr().err == "error: popularity_exponent must be finite, got nan\n"
@@ -130,6 +137,19 @@ def test_negative_seed_fails_in_one_line(tmp_path, small_catalog_file, capsys, a
     argv = [str(a).format(catalog=small_catalog_file) for a in argv]
     assert run([*argv, "--seed", -1, "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {field} must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synth", "--artists", 10**18], ["train", "wrmf", "--catalog", "{catalog}", "--k", 10**13]],
+)
+def test_allocation_that_cannot_be_made_fails_in_one_line(tmp_path, small_catalog_file, capsys, argv):
+    out = tmp_path / "out"
+    argv = [str(a).format(catalog=small_catalog_file) for a in argv]
+    assert run([*argv, "--seed", 1, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 
