@@ -1,20 +1,16 @@
-"""Command-line entry point: generate catalogs, train models, run the
-popularity-bin benchmark, and pretty-print reports.
+"""Command-line entry point: generate catalogs, train models, and run the
+popularity-bin benchmark.
 
 Every subcommand is deterministic given its flags and seed; a trained model
 file repeats bit for bit only at a fixed BLAS thread count, while eval
-output from a given model file does not depend on it. A JSON config file
-(--config) supplies flag defaults; explicit flags win. Relative paths
+output from a given model file does not depend on it. Relative paths
 resolve against $SCENEREC_DATA_DIR when it is set, as argparse parses them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -148,68 +144,7 @@ def _print_report_rows(rows) -> None:
         print(f"{r.algorithm:<12}{f'{r.bin_lo}-{r.bin_hi}':>8}{r.n_trials:>6}{mean:>10}{err:>9}")
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    path = args.infile
-    try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    # newline=None reads line ends as open() does in text mode
-    with io.StringIO(text, newline=None) as fh:
-        # short rows read as empty fields, so a bad row fails in int()/float()
-        reader = csv.DictReader(fh, restval="")
-        missing = [c for c in evaluation.REPORT_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: not a report CSV (missing column(s) {', '.join(missing)})")
-        rows = []
-        for rec in reader:
-            try:
-                rows.append(
-                    evaluation.BinResult(
-                        algorithm=rec["algorithm"],
-                        bin_lo=int(rec["bin_lo"]),
-                        bin_hi=int(rec["bin_hi"]),
-                        n_trials=int(rec["n_trials"]),
-                        mean_auc=float(rec["mean_auc"]) if rec["mean_auc"] else None,
-                        stderr=float(rec["stderr"]) if rec["stderr"] else None,
-                        trial_aucs=(),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: bad report row ({exc})") from None
-    _print_report_rows(rows)
-    return 0
-
-
-def _config_value(action: argparse.Action, value: object) -> object:
-    """A --config value parsed as its flag would parse the same text; for a
-    value the flag would not take, a ValueError (returned, not raised, so an
-    explicit flag can still override it)."""
-    if isinstance(action, argparse._AppendAction):
-        items = [value] if isinstance(value, str) else value
-        if isinstance(items, list) and all(isinstance(v, str) for v in items):
-            return items
-        return ValueError(f"{action.dest}: expected a string or a list of strings, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        return ValueError(f"{action.dest}: expected a string or a number, got {value!r}")
-    try:
-        return (action.type or str)(str(value))
-    except ValueError:
-        return ValueError(f"{action.dest}: invalid {action.type.__name__} value: {str(value)!r}")
-
-
-class _AppendOverDefault(argparse._AppendAction):
-    """``append``, except that the first explicit use drops the default (a
-    --config list) instead of extending it, so explicit flags win."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is self.default:
-            setattr(namespace, self.dest, None)
-        super().__call__(parser, namespace, values, option_string)
-
-
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenerec",
         description="Artist catalog generation, recommender training, and the popularity-bin ranking benchmark.",
@@ -221,7 +156,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     fd = {f.name: f.default for c in configs for f in dataclasses.fields(c)}
 
     p_synth = sub.add_parser("synth", help="generate a synthetic catalog", formatter_class=fmt)
-    p_synth.add_argument("--config", help="JSON file of flag defaults")
     p_synth.add_argument("--out", type=resolve_path, help="catalog output path (JSON Lines)")
     p_synth.add_argument("--seed", type=int, help="generator seed")
     p_synth.add_argument("--artists", type=int, default=fd["artist_count"], help="artist count")
@@ -230,11 +164,10 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_synth.add_argument("--intra", type=float, default=fd["intra_genre_prob"], help="same-genre similarity weight")
     p_synth.add_argument("--cross", type=float, default=fd["cross_genre_prob"], help="cross-genre similarity weight")
     p_synth.add_argument("--similar-per-artist", type=int, default=fd["similar_per_artist"], help="similar-list length")
-    p_synth.set_defaults(func=cmd_synth, required_fields=("seed", "out"))
+    p_synth.set_defaults(func=cmd_synth, required_fields=("seed", "out"), subparser=p_synth)
 
     p_train = sub.add_parser("train", help="train a recommender on a catalog", formatter_class=fmt)
     p_train.add_argument("model", choices=("wrmf", "multvae"))
-    p_train.add_argument("--config", help="JSON file of flag defaults")
     p_train.add_argument("--catalog", type=resolve_path, help="catalog path")
     p_train.add_argument("--out", type=resolve_path, help="model output path (.npz)")
     p_train.add_argument("--seed", type=int, help="training seed")
@@ -249,12 +182,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, default=fd["epochs"], help="multvae training epochs")
     p_train.add_argument("--learning-rate", type=float, default=fd["learning_rate"], help="multvae Adam step size")
     p_train.add_argument("--kl-weight", type=float, default=fd["kl_weight"], help="weight of the latent KL term")
-    p_train.set_defaults(func=cmd_train, required_fields=("seed", "catalog", "out"))
+    p_train.set_defaults(func=cmd_train, required_fields=("seed", "catalog", "out"), subparser=p_train)
 
     p_eval = sub.add_parser("eval", help="run the popularity-bin benchmark", formatter_class=fmt)
-    p_eval.add_argument("--config", help="JSON file of flag defaults")
     p_eval.add_argument("--catalog", type=resolve_path, help="catalog path")
-    p_eval.add_argument("--model", action=_AppendOverDefault, help="name=path, repeatable (wrmf=..., multvae=...)")
+    p_eval.add_argument("--model", action="append", help="name=path, repeatable (wrmf=..., multvae=...)")
     p_eval.add_argument(
         "--algorithms",
         help="comma-separated subset to run; 'random' and 'oracle' are built in (default: the given models)",
@@ -266,51 +198,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p_eval.add_argument("--out", type=resolve_path, help="report CSV path")
     p_eval.add_argument("--per-trial", type=resolve_path, help="optional per-trial AUC CSV path")
     p_eval.add_argument("--plot-data", type=resolve_path, help="optional bin-midpoint/mean/stderr CSV path")
-    p_eval.set_defaults(func=cmd_eval, required_fields=("seed", "catalog", "out"))
-
-    p_report = sub.add_parser("report", help="pretty-print a report CSV", formatter_class=fmt)
-    p_report.add_argument("--config", help="JSON file of flag defaults")
-    p_report.add_argument("infile", type=resolve_path, help="report CSV produced by eval")
-    p_report.set_defaults(func=cmd_report, required_fields=())
-
-    # one file serves every subcommand, so each takes only its own flags;
-    # each also knows its parser, which reports its missing flags
-    for sp in (p_synth, p_train, p_eval, p_report):
-        flags = [a for a in sp._actions if a.option_strings and a.dest in (defaults or {})]
-        sp.set_defaults(subparser=sp, **{a.dest: _config_value(a, defaults[a.dest]) for a in flags})
+    p_eval.set_defaults(func=cmd_eval, required_fields=("seed", "catalog", "out"), subparser=p_eval)
     return parser
 
 
-def _peek_config(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    defaults = None
-    config_path = _peek_config(argv)
-    if config_path:
-        try:
-            with open(resolve_path(config_path), "r", encoding="utf-8") as fh:
-                defaults = json.load(fh)
-            if not isinstance(defaults, dict):
-                raise ValueError("expected a JSON object of flag defaults")
-        except (OSError, ValueError) as exc:
-            print(f"error: --config {config_path}: {exc}", file=sys.stderr)
-            return 1
-    parser = build_parser(defaults)
-    args, extra = parser.parse_known_args(argv)
+    # argparse hands a subcommand's unknown flags back to the top level; the
+    # subcommand's own parser reports them, as it does its missing ones
+    args, extra = build_parser().parse_known_args(sys.argv[1:] if argv is None else argv)
     if extra:
         args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
-    bad = [v for v in vars(args).values() if isinstance(v, ValueError)]
-    if bad:
-        print(f"error: --config {config_path}: {bad[0]}", file=sys.stderr)
-        return 1
     missing = [f"--{name}" for name in args.required_fields if getattr(args, name) in (None, "")]
     if missing:
         args.subparser.error(f"the following arguments are required: {', '.join(missing)}")

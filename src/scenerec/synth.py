@@ -99,8 +99,12 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.artist_count < 0 or self.genre_count < 0:
-            raise ValueError("counts must be >= 0")
+        if self.artist_count < 0:
+            raise ValueError(f"artist_count must be >= 0, got {self.artist_count}")
+        if self.genre_count < 0:
+            raise ValueError(f"genre_count must be >= 0, got {self.genre_count}")
+        if self.genre_count > 2**63:  # genre codes are int64 draws below genre_count
+            raise ValueError(f"genre_count must be <= {2**63}, got {self.genre_count}")
         if not (0.0 <= self.intra_genre_prob <= 1.0 and 0.0 <= self.cross_genre_prob <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         if self.similar_per_artist < 1:

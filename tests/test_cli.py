@@ -8,7 +8,6 @@ import pytest
 
 from scenerec.catalog import load_catalog, save_catalog
 from scenerec.cli import main
-from scenerec.evaluation import REPORT_COLUMNS
 from scenerec.multvae import load_vae_model
 from scenerec.synth import SynthConfig, generate_catalog
 from scenerec.wrmf import load_factor_model
@@ -67,6 +66,12 @@ class TestSynthCommand:
         assert catalog.n == 30
         assert all(g.startswith("genre-") for a in catalog.artists for g in a.genres)
 
+    def test_genre_count_past_int64_draws_fails_in_one_line(self, tmp_path, capsys):
+        out = tmp_path / "g.jsonl"
+        assert run(["synth", "--artists", 30, "--genres", 10**20, "--seed", 1, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: genre_count must be <= {2**63}, got {10**20}\n"
+        assert not out.exists()
+
     def test_nan_exponent_fails_in_one_line(self, tmp_path, capsys):
         assert run(["synth", "--artists", 50, "--exponent", "nan", "--seed", 1, "--out", tmp_path / "x"]) == 1
         assert capsys.readouterr().err == "error: popularity_exponent must be finite, got nan\n"
@@ -113,7 +118,9 @@ def test_empty_required_path_is_not_given(tmp_path, monkeypatch, small_catalog_f
 @pytest.mark.parametrize(
     "argv, extra",
     [(["synth", "--trials", "abc"], "--trials abc"), (["train", "wrmf", "--bogus"], "--bogus"),
-     (["eval", "--k", 8, "--seed", 1], "--k 8"), (["report", "report.csv", "more.csv"], "more.csv"),
+     (["eval", "--k", 8, "--seed", 1], "--k 8"),
+     # flags are the only way in: there is no config file
+     (["eval", "--config", "x.json", "--seed", 1], "--config x.json"),
      # synth only generates: the crawl flags are gone
      (["synth", "--from-fixture", "x", "--seeds", "a", "--out", "y"], "--from-fixture x --seeds a")],
 )
@@ -124,6 +131,17 @@ def test_unknown_argument_is_reported_by_the_subcommand(argv, extra, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith(f"usage: scenerec {argv[0]} ")
     assert err[-1] == f"scenerec {argv[0]}: error: unrecognized arguments: {extra}"
+
+
+def test_report_is_not_a_subcommand(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        run(["report", "r.csv"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "scenerec: error: argument command: invalid choice: 'report'"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -430,138 +448,23 @@ class TestEvalCommand:
         assert damage != "extra config key" or f"{broken}: not a wrmf model file (" in err and "extra" in err
 
 
-class TestReportCommand:
-    def test_pretty_prints_rows(self, tmp_path, small_catalog_file, capsys):
-        out = tmp_path / "r.csv"
-        run(["eval", "--catalog", small_catalog_file, "--algorithms", "oracle", "--bins", "0-9", "--trials", 3,
-             "--seed", 1, "--out", out])
-        capsys.readouterr()
-        assert run(["report", out]) == 0
-        printed = capsys.readouterr().out
-        assert "oracle" in printed and "mean AUC" in printed
-
-    def test_bad_row_names_file_and_line(self, tmp_path, capsys):
-        path = tmp_path / "r.csv"
-        path.write_text(",".join(REPORT_COLUMNS) + "\noracle,0\n")
-        assert run(["report", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}:2: bad report row") and err.count("\n") == 1
-
-    def test_non_utf8_report_names_the_file(self, tmp_path, capsys):
-        path = tmp_path / "r.csv"
-        path.write_bytes(",".join(REPORT_COLUMNS).encode() + b"\noracle,0,9,3,1.0,0.0\n\xff\n")
-        assert run(["report", path]) == 1
-        err = capsys.readouterr().err
-        offset = len(",".join(REPORT_COLUMNS)) + len("\noracle,0,9,3,1.0,0.0\n")
-        assert err == f"error: {path}: not UTF-8 text (byte {offset}: invalid start byte)\n"
-
-    def test_csv_without_report_columns_fails_in_one_line(self, tmp_path, capsys):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b\n1,2\n")
-        assert run(["report", path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "missing column" in err and err.count("\n") == 1
-
-
-class TestConfigFileAndEnv:
-    def test_config_file_supplies_defaults_flags_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"artists": 120, "seed": 4}))
-        out1 = tmp_path / "one.jsonl"
-        assert run(["synth", "--config", cfg, "--out", out1]) == 0
-        assert load_catalog(out1).n == 120
-        out2 = tmp_path / "two.jsonl"
-        assert run(["synth", "--config", cfg, "--artists", 60, "--out", out2]) == 0
-        assert load_catalog(out2).n == 60
-
-    def test_config_equals_path_spelling(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"artists": 120, "seed": 4}))
-        out = tmp_path / "one.jsonl"
-        assert run(["synth", f"--config={cfg}", "--out", out]) == 0
-        assert load_catalog(out).n == 120
-
-    @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
-    def test_missing_or_malformed_config_file_fails_in_one_line(self, tmp_path, capsys, text):
-        cfg = tmp_path / "cfg.json"
-        if text is not None:
-            cfg.write_text(text)
-        assert run(["synth", "--config", cfg, "--out", tmp_path / "c.jsonl"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --config") and err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "command, values, message",
-        [
-            pytest.param("synth", {"seed": 1.5}, "--config {cfg}: seed: invalid int value: '1.5'", id="float seed"),
-            pytest.param("eval", {"trials": 2.5}, "--config {cfg}: trials: invalid int value: '2.5'",
-                         id="float trials"),
-            pytest.param("eval", {"bins": ["0-4"]}, "--config {cfg}: bins: expected a string or a number, got ['0-4']",
-                         id="list bins"),
-            pytest.param("eval", {"trials": True}, "--config {cfg}: trials: expected a string or a number, got True",
-                         id="bool trials"),
-            # a single --model string is one model, not a list of characters
-            pytest.param("eval", {"model": "wrmf=missing.npz"}, "[Errno 2] No such file or directory: 'missing.npz'",
-                         id="one model string"),
-            pytest.param("eval", {"model": [1]},
-                         "--config {cfg}: model: expected a string or a list of strings, got [1]",
-                         id="non-string model"),
-        ],
-    )
-    def test_bad_config_values_fail_in_one_line(self, tmp_path, small_catalog_file, capsys, command, values,
-                                                message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(values))
-        flags = {"synth": ["--artists", 50], "eval": ["--catalog", small_catalog_file, "--algorithms", "oracle"]}
-        seed = [] if "seed" in values else ["--seed", 1]
-        code = run([command, "--config", cfg, *flags[command], *seed, "--out", tmp_path / "out"])
-        assert code == 1
-        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_config_values_parse_like_flags(self, tmp_path, small_catalog_file, trained_models):
-        wrmf_path, vae_path = trained_models
-        cfg = tmp_path / "cfg.json"
-        # a list of models, numbers as strings, a bad value an explicit flag
-        # overrides, and a bad value of another subcommand's flag
-        values = {"model": [f"wrmf={wrmf_path}", f"multvae={vae_path}"], "trials": "2", "seed": 1.5, "k": 1.5}
-        cfg.write_text(json.dumps(values))
-        out = tmp_path / "r.csv"
-        code = run(["eval", "--config", cfg, "--catalog", small_catalog_file, "--bins", "0-9", "--seed", 3,
-                    "--out", out])
-        assert code == 0
-        with open(out) as fh:
-            assert [(r["algorithm"], r["n_trials"]) for r in csv.DictReader(fh)] == [("wrmf", "2"), ("multvae", "2")]
-
-    def test_explicit_model_replaces_config_models(self, tmp_path, small_catalog_file, trained_models):
-        wrmf_path, vae_path = trained_models
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": [f"wrmf={wrmf_path}"]}))
-        out = tmp_path / "r.csv"
-        code = run(["eval", "--config", cfg, "--catalog", small_catalog_file, "--model", f"multvae={vae_path}",
-                    "--bins", "0-9", "--trials", 2, "--seed", 3, "--out", out])
-        assert code == 0
-        with open(out) as fh:
-            assert [r["algorithm"] for r in csv.DictReader(fh)] == ["multvae"]
-
+class TestPathsAndHelp:
     def test_env_var_resolves_relative_paths(self, tmp_path, monkeypatch):
         data, cwd = tmp_path / "data", tmp_path / "cwd"
         data.mkdir()
         cwd.mkdir()
         monkeypatch.setenv("SCENEREC_DATA_DIR", str(data))
         monkeypatch.chdir(cwd)
-        (data / "train.json").write_text(json.dumps({"k": 2, "sweeps": 1}))
-        # every path flag, report's file, --config and a --model's path
+        # every path flag and a --model's path
         commands = [
             ["synth", "--artists", 200, "--seed", 2, "--out", "cat.jsonl"],
-            ["train", "wrmf", "--config", "train.json", "--catalog", "cat.jsonl", "--seed", 1, "--out", "wrmf.npz"],
+            ["train", "wrmf", "--k", 2, "--sweeps", 1, "--catalog", "cat.jsonl", "--seed", 1, "--out", "wrmf.npz"],
             ["eval", "--catalog", "cat.jsonl", "--model", "wrmf=wrmf.npz", "--bins", "0-99", "--trials", 2,
              "--seed", 1, "--out", "report.csv", "--per-trial", "trials.csv", "--plot-data", "plot.csv"],
-            ["report", "report.csv"],
         ]
         for argv in commands:
             assert run(argv) == 0, argv
-        written = {"train.json", "cat.jsonl", "wrmf.npz", "report.csv", "trials.csv", "plot.csv"}
+        written = {"cat.jsonl", "wrmf.npz", "report.csv", "trials.csv", "plot.csv"}
         assert {p.name for p in data.iterdir()} == written
         assert list(cwd.iterdir()) == []
         assert load_factor_model(data / "wrmf.npz").config.k == 2

@@ -414,13 +414,22 @@ class TestGenerateCatalog:
             SynthConfig(seed=1, intra_genre_prob=1.5)
         with pytest.raises(ValueError):
             SynthConfig(seed=1, similar_per_artist=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="artist_count must be >= 0, got -1"):
             SynthConfig(seed=1, artist_count=-1)
+        with pytest.raises(ValueError, match="genre_count must be >= 0, got -1"):
+            SynthConfig(seed=1, genre_count=-1)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             SynthConfig(seed=-1)
         for exponent in (float("nan"), float("inf"), -float("inf"), -1000.0):
             with pytest.raises(ValueError, match="popularity_exponent"):
                 SynthConfig(seed=1, popularity_exponent=exponent)
+
+    def test_genre_count_bound_is_2_to_the_63(self):
+        # genre codes are int64 draws below genre_count
+        catalog = generate_catalog(SynthConfig(seed=1, artist_count=30, genre_count=2**63))
+        assert catalog.n == 30 and all(g.startswith("genre-") for a in catalog.artists for g in a.genres)
+        with pytest.raises(ValueError, match=f"^genre_count must be <= {2**63}, got {2**63 + 1}$"):
+            SynthConfig(seed=1, genre_count=2**63 + 1)
 
     def test_genre_names_extend_past_common_pool(self):
         names = tuple(map(genre_name, range(23)))
