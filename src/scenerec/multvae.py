@@ -24,6 +24,13 @@ rows. Every element sees the same floating-point operations, in the same
 order, as in training on dense matrices, so the trained weights equal that
 training's bit for bit.
 
+Training holds the parameters, both Adam moments and one batch's arrays:
+the loop frees each gradient once Adam has applied it, so no gradient
+outlives its batch. One default epoch (hidden 600, batch 250) peaked at
+144 MB max RSS on a 5k catalog and 418 MB on a 20k one (2 OpenBLAS
+threads), against 161-171 and 490 MB when a batch's gradients stayed
+alive until the next batch's were made.
+
 The parameters are float32, the precision of the Mult-VAE reference
 implementation, and every later array follows their dtype: the batch
 values, the latent noise, the Adam moments and scratch, and the scoring
@@ -105,6 +112,11 @@ class VaeConfig:
             raise ValueError("kl_weight must be finite and >= 0")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,10 +344,12 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite training loss at epoch {epoch}")
             updates += 1
+            # pop, so each gradient is freed once Adam has applied it and
+            # the next batch's gradients never meet this one's
             for name, param in model.params().items():
                 adam_step(
                     param,
-                    grads[name],
+                    grads.pop(name),
                     adam_m[name],
                     adam_v[name],
                     updates,

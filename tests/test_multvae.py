@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -432,6 +434,32 @@ class TestLockstep:
         assert trace == ref_trace and trace.updates == 2 * -(-n // 100)
 
 
+class TestWorkingSet:
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_no_gradient_outlives_its_batch(self, monkeypatch, n):
+        """The traced memory live when a batch starts is the parameters and
+        both Adam moments, the same at every batch: no earlier batch's
+        gradient is still held."""
+        graph = generate_catalog(SynthConfig(artist_count=n, seed=3)).graph
+        config = VaeConfig(n_items=n, epochs=2, seed=1)
+        param_bytes = sum(p.nbytes for p in init_model(config, np.random.default_rng(0)).params().values())
+        live = []
+
+        def traced(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return loss_and_gradients(*args)
+
+        monkeypatch.setattr(multvae, "loss_and_gradients", traced)
+        tracemalloc.start()
+        try:
+            train_multvae(graph, config)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 2 * -(-n // config.batch_size)
+        assert live[0] > 3 * param_bytes
+        assert max(live) - live[0] < 0.05 * param_bytes, [round(b / param_bytes, 2) for b in live]
+
+
 class TestTraining:
     def test_two_cliques_learn_block_structure(self):
         graph = two_cliques_graph()
@@ -516,6 +544,24 @@ class TestTraining:
         for bad in (-1.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="learning_rate"):
                 VaeConfig(n_items=5, learning_rate=bad)
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("adam_beta1", 1.0, "adam_beta1 must lie in [0, 1), got 1.0"),
+            ("adam_beta1", -0.5, "adam_beta1 must lie in [0, 1), got -0.5"),
+            ("adam_beta1", float("nan"), "adam_beta1 must lie in [0, 1), got nan"),
+            ("adam_beta2", 1.0, "adam_beta2 must lie in [0, 1), got 1.0"),
+            ("adam_beta2", 1.5, "adam_beta2 must lie in [0, 1), got 1.5"),
+            ("adam_eps", 0.0, "adam_eps must be finite and > 0, got 0.0"),
+            ("adam_eps", -1e-8, "adam_eps must be finite and > 0, got -1e-08"),
+            ("adam_eps", float("inf"), "adam_eps must be finite and > 0, got inf"),
+            ("adam_eps", float("nan"), "adam_eps must be finite and > 0, got nan"),
+        ],
+    )
+    def test_adam_hyperparameters_validated(self, field, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VaeConfig(n_items=5, **{field: bad})
 
 
 class TestPrecision:
