@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -186,6 +186,11 @@ def random_scorer(trial: Trial, rng: np.random.Generator) -> np.ndarray:
 
 
 def make_wrmf_scorer(model: wrmf.FactorModel, catalog: Catalog) -> RankFn:
+    # the scorer folds users in through its own shallow copy of the model,
+    # so the fold-in cache (``FactorModel.ridge``) is formed on the copy and
+    # freed with the scorer; the caller's model never holds it
+    model = replace(model)
+
     def score(trial: Trial, rng: np.random.Generator) -> np.ndarray:
         vec = wrmf.fold_in_user(model, UserVector.from_ids(catalog, trial.seed_ids))
         return wrmf.rank_candidates(model, vec, catalog.indices_of(trial.candidate_ids))

@@ -14,7 +14,8 @@ deterministic function of its seed.
 A batch reaches the training step as the coordinates of its ones, which
 ``SimilarityGraph.edges`` gathers, never as a dense (batch, n_items) matrix. The
 dropout draw is one uniform per batch cell, the rng stream of dense
-dropout, and it is read only at the ones. The encoder multiplies only the
+dropout, drawn a run of whole rows at a time into one reused buffer and
+read only at the ones. The encoder multiplies only the
 input columns that survive in some row of the batch (a similarity row has
 ~20 among thousands), the reconstruction target is subtracted at the ones
 only, and the ``w_enc`` gradient holds only those columns' rows. Adam takes
@@ -24,12 +25,16 @@ rows. Every element sees the same floating-point operations, in the same
 order, as in training on dense matrices, so the trained weights equal that
 training's bit for bit.
 
-Training holds the parameters, both Adam moments and one batch's arrays:
-the loop frees each gradient once Adam has applied it, so no gradient
-outlives its batch. One default epoch (hidden 600, batch 250) peaked at
-144 MB max RSS on a 5k catalog and 418 MB on a 20k one (2 OpenBLAS
-threads), against 161-171 and 490 MB when a batch's gradients stayed
-alive until the next batch's were made.
+Training holds the parameters, both Adam moments and one batch's arrays,
+and a batch holds no whole dropout draw and no whole ``w_out`` gradient:
+``loss_and_gradients`` returns that gradient as its two factors, and the
+loop forms and applies it ``W_OUT_CHUNK`` rows at a time. The loop frees
+each gradient once Adam has applied it, so no gradient outlives its batch.
+One default epoch (hidden 600, batch 250) peaked at 133 MB max RSS on a 5k
+catalog and 372 MB on a 20k one (2 OpenBLAS threads), against 144 and
+418 MB with a whole draw and a whole ``w_out`` gradient, and 161-171 and
+490 MB when a batch's gradients also stayed alive until the next batch's
+were made.
 
 The parameters are float32, the precision of the Mult-VAE reference
 implementation, and every later array follows their dtype: the batch
@@ -78,8 +83,18 @@ PARAM_NAMES = tuple(PARAM_SHAPES)
 
 # Elements per run of whole rows in an Adam update: the four arrays of one
 # run, 1 MiB in float32, stay in L2 across the update's twelve elementwise
-# passes. A row longer than this is a run by itself.
+# passes. A row longer than this is a run by itself. The dropout draw comes
+# in runs of the same size, 512 KiB of float64 uniforms.
 ADAM_BLOCK = 1 << 16
+# Rows of ``w_out`` whose gradient, h_dec[:, rows].T @ g_out, is formed and
+# applied by Adam at once, so the whole (hidden, n_items) gradient never
+# exists. The batch is the product's inner dimension and fits one GEMM block,
+# so a chunk's rows equal the whole product's bit for bit. For a batch of
+# 250 on 2 OpenBLAS threads, the three 200-row GEMMs took 8.5-10.5 ms
+# against 7.6-9.3 ms for the whole product at 5k artists (36-43 against
+# 34-43 ms at 20k); 100 rows took 9-12 and 49-55 ms, and runs of ADAM_BLOCK
+# elements (13 rows at 5k) about 3x the whole product's time.
+W_OUT_CHUNK = 200
 
 
 @dataclass(frozen=True)
@@ -180,23 +195,41 @@ def input_dropout(
     (``rows``, ``cols``) independently with probability p: one uniform is
     drawn per batch cell, none when p is 0. Returns the surviving ones'
     coordinates and their common value, 1/(1-p), so inference needs no
-    rescaling."""
+    rescaling.
+
+    The uniforms come in runs of whole rows, ADAM_BLOCK cells each (one row
+    when a row is larger), drawn into one reused buffer and read at the
+    run's ones; that is the stream of one draw over the whole batch, and it
+    leaves the same rng state. ``rows`` must be in ascending order, as
+    ``SimilarityGraph.edges`` and ``np.nonzero`` give them, and inside the
+    batch."""
+    if rows.size and (rows[0] < 0 or rows[-1] >= shape[0] or np.any(rows[1:] < rows[:-1])):
+        raise ValueError("input_dropout needs the coordinates' rows in ascending order and inside the batch")
     if p == 0.0:
         return rows, cols, 1.0
-    keep = rng.random(shape)[rows, cols] >= p
+    b, n = shape
+    run = max(1, ADAM_BLOCK // n)
+    draw = np.empty((min(run, b), n))
+    keep = np.empty(rows.shape, bool)
+    for start in range(0, b, run):
+        uniforms = rng.random(out=draw[: min(run, b - start)])
+        lo, hi = np.searchsorted(rows, (start, start + run))
+        keep[lo:hi] = uniforms[rows[lo:hi] - start, cols[lo:hi]] >= p
     return rows[keep], cols[keep], 1.0 / (1.0 - p)
 
 
 def loss_and_gradients(
     model: VaeModel, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], rng: np.random.Generator
-) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+) -> tuple[float, dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Training-mode loss and exact backpropagated gradients for one binary
-    batch of ``shape`` (rows, n_items) with ones at (``rows``, ``cols``),
-    plus ``used``, the sorted input columns that survive dropout in some
-    row: the ``w_enc`` gradient holds only those rows, and its other rows
-    are zero. All noise (dropout mask, latent sample) comes from ``rng``, so
-    the result is a deterministic function of the model, the batch, and the
-    rng state. Every array, the gradients too, has the parameters' dtype."""
+    batch of ``shape`` (rows, n_items) with ones at (``rows``, ``cols``,
+    rows ascending), plus ``used``, the sorted input columns that survive
+    dropout in some row: the ``w_enc`` gradient holds only those rows, and
+    its other rows are zero. The ``w_out`` gradient comes as its two
+    factors ``(h_dec, g_out)``, whose product ``h_dec.T @ g_out`` it is.
+    All noise (dropout mask, latent sample) comes from ``rng``, so the
+    result is a deterministic function of the model, the batch, and the rng
+    state. Every array, the gradients too, has the parameters' dtype."""
     b, n = shape
     if b < 1:
         raise ValueError("batch must have at least one row")
@@ -234,7 +267,8 @@ def loss_and_gradients(
     g_a_enc = g_h_enc * (1.0 - np.square(h_enc))
 
     # columns outside ``used`` had zero input, so their w_enc gradient rows
-    # are zero and are left out
+    # are zero and are left out; w_out's (hidden, n_items) gradient is left
+    # to the caller to form a chunk of rows at a time
     grads = {
         "w_enc": x_used.T @ g_a_enc,
         "b_enc": g_a_enc.sum(axis=0),
@@ -244,7 +278,7 @@ def loss_and_gradients(
         "b_logvar": g_logvar.sum(axis=0),
         "w_dec": z.T @ g_a_dec,
         "b_dec": g_a_dec.sum(axis=0),
-        "w_out": h_dec.T @ g_out,
+        "w_out": (h_dec, g_out),
         "b_out": g_out.sum(axis=0),
     }
     return loss, grads, used
@@ -329,6 +363,7 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
     adam_m = {name: np.zeros_like(p) for name, p in model.params().items()}
     adam_v = {name: np.zeros_like(p) for name, p in model.params().items()}
 
+    hyper = (config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
     train_losses: list[float] = []
     updates = 0
     for epoch in range(config.epochs):
@@ -347,18 +382,16 @@ def train_multvae(graph: SimilarityGraph, config: VaeConfig, *, index_hash: str 
             # pop, so each gradient is freed once Adam has applied it and
             # the next batch's gradients never meet this one's
             for name, param in model.params().items():
-                adam_step(
-                    param,
-                    grads.pop(name),
-                    adam_m[name],
-                    adam_v[name],
-                    updates,
-                    config.learning_rate,
-                    config.adam_beta1,
-                    config.adam_beta2,
-                    config.adam_eps,
-                    rows=enc_rows if name == "w_enc" else None,
-                )
+                m, v = adam_m[name], adam_v[name]
+                if name == "w_out":
+                    h_dec, g_out = grads.pop(name)
+                    for lo in range(0, param.shape[0], W_OUT_CHUNK):
+                        c = slice(lo, lo + W_OUT_CHUNK)
+                        adam_step(param[c], h_dec[:, c].T @ g_out, m[c], v[c], updates, *hyper)
+                    # the factors go with their batch, like every gradient
+                    del h_dec, g_out
+                else:
+                    adam_step(param, grads.pop(name), m, v, updates, *hyper, rows=enc_rows if name == "w_enc" else None)
             epoch_loss += loss * len(chunk)
         train_losses.append(epoch_loss / graph.n)
     return model, TrainTrace(tuple(train_losses), updates)

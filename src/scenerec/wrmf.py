@@ -27,7 +27,9 @@ rest by degree into blocks whose temporaries stay under ``BLOCK_BYTES``.
 
 A user is a sparse indicator vector over artists; ``fold_in_user`` embeds it
 as one more row: a one-row ``solve_row`` block, with G and W cached on the
-model. Candidates are scored by dot product against their column factors;
+model object. ``evaluation.make_wrmf_scorer`` folds users in through its own
+shallow copy of the model, so that cache is freed with the scorer.
+Candidates are scored by dot product against their column factors;
 ``evaluation.run_experiment`` ranks the scores.
 """
 
@@ -90,7 +92,7 @@ class FactorModel:
     @cached_property
     def ridge(self) -> tuple[np.ndarray, np.ndarray | None]:
         """``ridge_terms`` of the column factors: the user-independent part
-        of every fold-in, formed once per model."""
+        of every fold-in, formed once per model object."""
         return ridge_terms(self.col_factors, self.config.lam)
 
 

@@ -167,6 +167,9 @@ def test_vae_gradients_match_finite_differences():
         # the w_enc gradient holds the enc_rows rows only; the others are 0
         grads["w_enc"], g_w_enc = np.zeros_like(model.w_enc), grads["w_enc"]
         grads["w_enc"][enc_rows] = g_w_enc
+        # the w_out gradient comes as its two factors
+        h_dec, g_out = grads["w_out"]
+        grads["w_out"] = h_dec.T @ g_out
         h = 1e-5
         for name in PARAM_NAMES:
             param = getattr(model, name)

@@ -377,6 +377,25 @@ class TestModelScorers:
         for name, values in expected.items():
             assert [v for row in report.rows if row.algorithm == name for _, v in row.trial_aucs] == values
 
+    def test_wrmf_scorer_keeps_its_fold_in_cache_off_the_model(self):
+        # the scorer forms the fold-in terms on its own copy of the model,
+        # so they are freed with it, and scores as the model functions do
+        catalog = generate_catalog(SynthConfig(seed=5, artist_count=400, similar_per_artist=6))
+        model = train_wrmf(catalog.graph, WrmfConfig(k=8, sweeps=2, seed=1))
+        score = make_wrmf_scorer(model, catalog)
+        scored = []
+
+        def recorder(trial, rng):
+            scored.append((trial, score(trial, rng)))
+            return scored[-1][1]
+
+        config = ExperimentConfig(bins=((0, 9), (20, 39)), trials_per_bin=3, master_seed=2)
+        run_experiment(catalog, {"wrmf": recorder}, config)
+        assert scored and "ridge" not in vars(model)
+        for trial, scores in scored:
+            vec = fold_in_user(model, UserVector.from_ids(catalog, trial.seed_ids))
+            assert np.array_equal(scores, model.col_factors[catalog.indices_of(trial.candidate_ids)] @ vec)
+
 
 class TestCsvOutput:
     @pytest.fixture

@@ -52,11 +52,13 @@ def coords(batch):
 
 def gradients(model, batch, rng):
     """``loss_and_gradients`` on a dense binary batch, with the row-sparse
-    ``w_enc`` gradient written into a zero-filled full-size array."""
+    ``w_enc`` gradient written into a zero-filled full-size array and the
+    ``w_out`` gradient formed from its two factors."""
     loss, grads, enc_rows = loss_and_gradients(model, *coords(batch), rng)
     g_w_enc = np.zeros_like(model.w_enc)
     g_w_enc[enc_rows] = grads["w_enc"]
-    return loss, {**grads, "w_enc": g_w_enc}
+    h_dec, g_out = grads["w_out"]
+    return loss, {**grads, "w_enc": g_w_enc, "w_out": h_dec.T @ g_out}
 
 
 def dropped(x, p, rng):
@@ -299,11 +301,21 @@ class TestDropout:
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5])
     def test_equals_dense_dropout_and_leaves_the_same_rng_state(self, p):
-        batch = (np.random.default_rng(3).random((7, 30)) < 0.3).astype(float)
-        batch[4] = 0.0
-        rng, dense_rng = np.random.default_rng(9), np.random.default_rng(9)
-        assert np.array_equal(dropped(batch, p, rng), dense_dropout(batch, p, dense_rng))
-        assert rng.random() == dense_rng.random()
+        # (7, 30) is one run of the draw; rows of 20,000 cells come 3 to a
+        # run, so (9, 20000) is three runs, its zero rows on both sides of a
+        # boundary
+        for shape, zero_rows in (((7, 30), [4]), ((9, 20_000), [2, 3])):
+            batch = (np.random.default_rng(3).random(shape) < 0.3).astype(float)
+            batch[zero_rows] = 0.0
+            rng, dense_rng = np.random.default_rng(9), np.random.default_rng(9)
+            assert np.array_equal(dropped(batch, p, rng), dense_dropout(batch, p, dense_rng)), shape
+            assert rng.random() == dense_rng.random()
+
+    def test_rows_out_of_order_or_outside_the_batch_are_rejected(self):
+        rows, cols, shape = coords((np.random.default_rng(3).random((7, 30)) < 0.3).astype(float))
+        for bad_rows, bad_cols, bad_shape in ((rows[::-1], cols[::-1], shape), (rows, cols, (rows[-1], 30))):
+            with pytest.raises(ValueError, match="rows in ascending order and inside the batch"):
+                input_dropout(bad_rows, bad_cols, bad_shape, 0.2, np.random.default_rng(9))
 
 
 class TestAdam:
@@ -422,10 +434,12 @@ class TestAdamBlocks:
 
 
 class TestLockstep:
-    @pytest.mark.parametrize("n, dropout, kl_weight", [(450, 0.2, 0.0), (650, 0.0, 0.7)])
+    # at n = 2000 a batch of 100 rows is 4 runs of the dropout draw, and
+    # w_out's gradient comes in 3 chunks of W_OUT_CHUNK rows
+    @pytest.mark.parametrize("n, dropout, kl_weight", [(450, 0.2, 0.0), (650, 0.0, 0.7), (2000, 0.2, 0.0)])
     def test_weights_and_losses_equal_the_dense_step_bit_for_bit(self, n, dropout, kl_weight):
         graph = generate_catalog(SynthConfig(artist_count=n, seed=5)).graph
-        # batches of 100 leave a partial last batch of 50
+        # batches of 100 leave a partial last batch of 50 at n = 450 and 650
         config = VaeConfig(n_items=n, batch_size=100, epochs=2, dropout=dropout, kl_weight=kl_weight, seed=4)
         model, trace = train_multvae(graph, config)
         ref_model, ref_trace = reference_train(graph, config)
@@ -458,6 +472,51 @@ class TestWorkingSet:
         assert len(live) == 2 * -(-n // config.batch_size)
         assert live[0] > 3 * param_bytes
         assert max(live) - live[0] < 0.05 * param_bytes, [round(b / param_bytes, 2) for b in live]
+
+    def test_a_batch_never_holds_a_whole_w_out_gradient(self, monkeypatch):
+        """Each batch's traced peak, forward to last Adam step, above the
+        live set at its start stays below the bytes of one full w_out
+        gradient. The batch is small beside the catalog, so its own arrays
+        are a small share of that (about 0.6 of it), and a whole gradient
+        formed anywhere in the batch would cross the bound."""
+        n = 2000
+        graph = generate_catalog(SynthConfig(artist_count=n, seed=3)).graph
+        config = VaeConfig(n_items=n, batch_size=25, epochs=1, seed=1)
+        grad_bytes = config.hidden * n * np.dtype(np.float32).itemsize
+        starts, peaks = [], []
+
+        def traced(*args):
+            current, peak = tracemalloc.get_traced_memory()
+            if starts:
+                peaks.append(peak - starts[-1])
+            starts.append(current)
+            tracemalloc.reset_peak()
+            return loss_and_gradients(*args)
+
+        monkeypatch.setattr(multvae, "loss_and_gradients", traced)
+        tracemalloc.start()
+        try:
+            train_multvae(graph, config)
+            peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == n // config.batch_size
+        assert max(peaks) < grad_bytes, [round(b / grad_bytes, 2) for b in peaks]
+
+    def test_the_dropout_draw_is_never_held_whole(self):
+        """The draw's traced peak stays below the bytes of one float64
+        uniform per batch cell: a default batch of 250 rows of 2,000."""
+        n, b = 2000, 250
+        graph = generate_catalog(SynthConfig(artist_count=n, seed=3)).graph
+        rows, cols = graph.edges(np.arange(b))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            input_dropout(rows, cols, (b, n), 0.2, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < b * n * np.dtype(np.float64).itemsize, peak
 
 
 class TestTraining:
@@ -583,7 +642,10 @@ class TestPrecision:
         assert trace.updates == 4 and adam_dtypes == {(float32,) * 4}
         assert all(getattr(model, n).dtype == float32 for n in PARAM_NAMES)
         _, grads, _ = loss_and_gradients(model, *coords(np.eye(10)[:4]), np.random.default_rng(0))
-        assert all(grads[n].dtype == float32 for n in PARAM_NAMES)
+        # the w_out gradient comes as its two factors
+        h_dec, g_out = grads.pop("w_out")
+        assert len(grads) == len(PARAM_NAMES) - 1
+        assert all(g.dtype == float32 for g in (h_dec, g_out, *grads.values()))
         user = UserVector(np.asarray([1, 6], dtype=np.int64), 10)
         assert rank_candidates_vae(model, user, [0, 7, 3], output_rows(model)).dtype == float32
         assert predict(model, user).dtype == float32
